@@ -1,12 +1,13 @@
 // MLC search-space pruning scaling: corner-to-corner Pareto searches on
-// generated n x n cities (hashed shading, urban traffic), run with the
+// generated n x n cities (hashed shading, urban traffic) up to n = 32,
+// where the exact search's cost grows fastest, run with the
 // reverse-Dijkstra lower-bound pruning on vs off and swept over the
-// epsilon-dominance merge factor on the largest world. The paper notes
+// epsilon-dominance merge factor on the n = 12 world. The paper notes
 // the Pareto search is the expensive step its route merging exists to
 // tame; this bench tracks what the budget pruning actually saves
-// (labels created, queue pops, latency) and what an approximate merge
-// costs in Pareto coverage. Writes BENCH_mlc.json for CI trend
-// tracking (tools/bench_compare.py gates on it).
+// (labels created, queue pops, dominance checks, latency) and what an
+// approximate merge costs in Pareto coverage. Writes BENCH_mlc.json for
+// CI trend tracking (tools/bench_compare.py gates on it).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -74,6 +75,7 @@ struct Sample {
   double search_seconds = 0.0;      ///< mean per query
   double lower_bound_seconds = 0.0; ///< mean per query (0 unpruned)
   std::size_t labels_created = 0;
+  std::size_t dominance_checks = 0;
   std::size_t labels_pruned_bound = 0;
   std::size_t labels_merged_epsilon = 0;
   std::size_t queue_pops = 0;
@@ -104,6 +106,7 @@ Sample run_config(int n, bool prune, double epsilon, int repeats) {
       s.search_seconds = result.stats.search_seconds;
       s.lower_bound_seconds = result.stats.lower_bound_seconds;
       s.labels_created = result.stats.labels_created;
+      s.dominance_checks = result.stats.dominance_checks;
       s.labels_pruned_bound = result.stats.labels_pruned_bound;
       s.labels_merged_epsilon = result.stats.labels_merged_epsilon;
       s.queue_pops = result.stats.queue_pops;
@@ -164,22 +167,24 @@ int main(int argc, char** argv) {
   bench::banner("MLC search-space pruning scaling",
                 "budget pruning + epsilon-dominance on the Pareto search");
 
-  const std::vector<int> sizes = {6, 8, 10, 12};
+  const std::vector<int> sizes = {6, 8, 10, 12, 16, 24, 32};
   const int largest = sizes.back();
+  const int sweep_n = 12;  // the epsilon sweep's world
 
   std::vector<Sample> samples;
   std::printf("corner-to-corner searches, time budget 1.1x, 10:00, "
               "best of %d\n\n", repeats);
-  std::printf("%4s %9s %8s %9s %8s %10s %10s %7s\n", "n", "mode",
-              "ms", "lb_ms", "labels", "pruned", "pops", "pareto");
+  std::printf("%4s %9s %8s %9s %8s %10s %10s %10s %7s\n", "n", "mode",
+              "ms", "lb_ms", "labels", "checks", "pruned", "pops", "pareto");
   for (const int n : sizes) {
     for (const bool prune : {false, true}) {
       const Sample s = run_config(n, prune, 0.0, repeats);
       samples.push_back(s);
-      std::printf("%4d %9s %8.2f %9.3f %8zu %10zu %10zu %7zu\n", s.n,
-                  s.mode, s.search_seconds * 1e3,
+      std::printf("%4d %9s %8.2f %9.3f %8zu %10zu %10zu %10zu %7zu\n",
+                  s.n, s.mode, s.search_seconds * 1e3,
                   s.lower_bound_seconds * 1e3, s.labels_created,
-                  s.labels_pruned_bound, s.queue_pops, s.pareto_size);
+                  s.dominance_checks, s.labels_pruned_bound, s.queue_pops,
+                  s.pareto_size);
     }
   }
 
@@ -187,30 +192,30 @@ int main(int argc, char** argv) {
   // epsilon = 0 must not change the frontier (the tests pin this too,
   // but a silent regression here would quietly invalidate the bench's
   // pruned-vs-unpruned comparison).
-  const std::vector<core::Criteria> exact = frontier(largest, false, 0.0);
-  if (frontier(largest, true, 0.0) != exact) {
+  if (frontier(largest, true, 0.0) != frontier(largest, false, 0.0)) {
     std::fprintf(stderr,
                  "error: pruned frontier differs from unpruned at n=%d\n",
                  largest);
     return 1;
   }
 
-  // Epsilon sweep on the largest world, pruning on: what the relaxed
+  // Epsilon sweep on the n = 12 world, pruning on: what the relaxed
   // merge saves and what Pareto coverage it gives up.
+  const std::vector<core::Criteria> exact = frontier(sweep_n, false, 0.0);
   struct EpsSample {
     double epsilon = 0.0;
     Sample run;
     double coverage_err = 0.0;
   };
   std::vector<EpsSample> sweep;
-  std::printf("\nepsilon sweep (n=%d, pruning on)\n", largest);
+  std::printf("\nepsilon sweep (n=%d, pruning on)\n", sweep_n);
   std::printf("%8s %8s %8s %10s %7s %12s\n", "epsilon", "ms", "labels",
               "merged", "pareto", "coverage_err");
   for (const double epsilon : {0.0, 0.01, 0.05, 0.10}) {
     EpsSample es;
     es.epsilon = epsilon;
-    es.run = run_config(largest, true, epsilon, repeats);
-    es.coverage_err = coverage_error(exact, frontier(largest, true, epsilon));
+    es.run = run_config(sweep_n, true, epsilon, repeats);
+    es.coverage_err = coverage_error(exact, frontier(sweep_n, true, epsilon));
     sweep.push_back(es);
     std::printf("%8.2f %8.2f %8zu %10zu %7zu %12.4f\n", epsilon,
                 es.run.search_seconds * 1e3, es.run.labels_created,
@@ -223,7 +228,9 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"bench\": \"perf_mlc_scaling\",\n");
     std::fprintf(f, "  \"time_budget\": 1.1,\n  \"repeats\": %d,\n",
                  repeats);
-    std::fprintf(f, "  \"largest_n\": %d,\n  \"samples\": [\n", largest);
+    std::fprintf(f, "  \"largest_n\": %d,\n  \"sweep_n\": %d,\n",
+                 largest, sweep_n);
+    std::fprintf(f, "  \"samples\": [\n");
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const Sample& s = samples[i];
       std::fprintf(f,
@@ -231,12 +238,13 @@ int main(int argc, char** argv) {
                    "\"queries_per_second\": %.3f, "
                    "\"search_seconds\": %.6f, "
                    "\"lower_bound_seconds\": %.6f, "
-                   "\"labels_created\": %zu, \"labels_pruned_bound\": %zu, "
+                   "\"labels_created\": %zu, \"dominance_checks\": %zu, "
+                   "\"labels_pruned_bound\": %zu, "
                    "\"labels_merged_epsilon\": %zu, \"queue_pops\": %zu, "
                    "\"pareto_size\": %zu}%s\n",
                    s.n, s.mode, s.epsilon, s.queries_per_second,
                    s.search_seconds, s.lower_bound_seconds,
-                   s.labels_created, s.labels_pruned_bound,
+                   s.labels_created, s.dominance_checks, s.labels_pruned_bound,
                    s.labels_merged_epsilon, s.queue_pops, s.pareto_size,
                    i + 1 < samples.size() ? "," : "");
     }
@@ -253,8 +261,8 @@ int main(int argc, char** argv) {
                    es.run.pareto_size, es.coverage_err,
                    i + 1 < sweep.size() ? "," : "");
     }
-    // Registry snapshot: the mlc.* counter family (created / pruned /
-    // merged / lower-bound build seconds) for CI trend tracking.
+    // Registry snapshot: the mlc.* counter family (created / checks /
+    // pruned / merged / lower-bound build seconds) for CI trend tracking.
     const std::string metrics =
         sunchase::obs::Registry::global().snapshot().to_json(2);
     std::fprintf(f, "  ],\n  \"metrics\":\n%s\n}\n", metrics.c_str());

@@ -32,12 +32,53 @@ struct Criteria {
 /// floating-point dust cannot inflate the Pareto set.
 inline constexpr double kCriteriaEpsilon = 1e-9;
 
+namespace detail {
+/// -1 / 0 / +1 comparison with the shared tolerance.
+[[nodiscard]] inline int fuzzy_cmp(double a, double b) noexcept {
+  if (a < b - kCriteriaEpsilon) return -1;
+  if (a > b + kCriteriaEpsilon) return +1;
+  return 0;
+}
+}  // namespace detail
+
+/// Lexicographic order (travel time, then shaded time, then energy):
+/// the priority-queue order of the multi-label correcting algorithm
+/// ("extract the minimum label (in lexicographic order)"). Three-way:
+/// the sign of the first criterion that differs beyond tolerance, 0 when
+/// the vectors are equivalent.
+[[nodiscard]] inline int lex_compare(const Criteria& a,
+                                     const Criteria& b) noexcept {
+  using detail::fuzzy_cmp;
+  if (const int c = fuzzy_cmp(a.travel_time.value(), b.travel_time.value()))
+    return c;
+  if (const int c = fuzzy_cmp(a.shaded_time.value(), b.shaded_time.value()))
+    return c;
+  return fuzzy_cmp(a.energy_out.value(), b.energy_out.value());
+}
+
+/// lex_compare(a, b) < 0.
+[[nodiscard]] inline bool lex_less(const Criteria& a,
+                                   const Criteria& b) noexcept {
+  return lex_compare(a, b) < 0;
+}
+
 /// Pareto dominance: a dominates b iff a <= b in every criterion and
 /// a < b in at least one (Sec. III-B), with epsilon tolerance.
-[[nodiscard]] bool dominates(const Criteria& a, const Criteria& b) noexcept;
+[[nodiscard]] inline bool dominates(const Criteria& a,
+                                    const Criteria& b) noexcept {
+  using detail::fuzzy_cmp;
+  const int c1 = fuzzy_cmp(a.travel_time.value(), b.travel_time.value());
+  const int c2 = fuzzy_cmp(a.shaded_time.value(), b.shaded_time.value());
+  const int c3 = fuzzy_cmp(a.energy_out.value(), b.energy_out.value());
+  if (c1 > 0 || c2 > 0 || c3 > 0) return false;
+  return c1 < 0 || c2 < 0 || c3 < 0;
+}
 
 /// True when the two vectors are equal within tolerance.
-[[nodiscard]] bool equivalent(const Criteria& a, const Criteria& b) noexcept;
+[[nodiscard]] inline bool equivalent(const Criteria& a,
+                                     const Criteria& b) noexcept {
+  return lex_compare(a, b) == 0;
+}
 
 /// Relaxed (epsilon-)dominance for approximate Pareto merging: true when
 /// a.c <= (1 + epsilon) * b.c in every criterion, i.e. `a` is at worst a
@@ -47,10 +88,5 @@ inline constexpr double kCriteriaEpsilon = 1e-9;
 /// the MLC merge only consults it when epsilon > 0.
 [[nodiscard]] bool epsilon_dominates(const Criteria& a, const Criteria& b,
                                      double epsilon) noexcept;
-
-/// Lexicographic order (travel time, then shaded time, then energy):
-/// the priority-queue order of the multi-label correcting algorithm
-/// ("extract the minimum label (in lexicographic order)").
-[[nodiscard]] bool lex_less(const Criteria& a, const Criteria& b) noexcept;
 
 }  // namespace sunchase::core

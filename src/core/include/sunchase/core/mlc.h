@@ -1,8 +1,18 @@
 // The multi-label correcting algorithm (paper Algorithm 1): computes
 // the full Pareto set of routes under the three criteria. Labels carry
 // one cost per criterion; a priority queue pops the lexicographic
-// minimum; per-node bags keep only non-dominated labels; dominated
-// labels are removed (lazily) from the queue.
+// minimum. The exact search (epsilon = 0) checks dominance lazily: each
+// node keeps a 2-D (shaded time, energy) staircase of its expanded
+// labels, and because labels pop in lexicographic order over edges of
+// positive travel time, every label that can dominate a popped one has
+// already been expanded at its node (dimensionality reduction, as in
+// NAMOA*dr). The epsilon-merge search keeps per-node bags of
+// non-dominated labels and removes dominated ones lazily from the queue.
+//
+// Ties: costs equal within kCriteriaEpsilon in every criterion are one
+// Pareto point. Equal-cost labels pop in creation order, so of two
+// equivalent routes the one whose last label was created first — the
+// one reached through the earlier out-edge where they branch — is kept.
 #pragma once
 
 #include <cstddef>
@@ -47,10 +57,11 @@ struct MlcOptions {
   bool prune_with_lower_bounds = true;
   /// Epsilon-dominance merge: a new label is dropped when an existing
   /// bag label is within a factor (1 + epsilon) of it in EVERY
-  /// criterion. 0 (default) keeps the search exact (the relaxed test is
-  /// never evaluated); > 0 trades Pareto-set completeness for speed with
-  /// a per-merge relative error of at most epsilon (errors can compound
-  /// along a route — measure with the bench sweep, see EXPERIMENTS.md).
+  /// criterion. 0 (default) runs the exact staircase search (the
+  /// relaxed test is never evaluated); > 0 runs the bag search and
+  /// trades Pareto-set completeness for speed with a per-merge relative
+  /// error of at most epsilon (errors can compound along a route —
+  /// measure with the bench sweep, see EXPERIMENTS.md).
   double epsilon = 0.0;
 };
 
@@ -62,8 +73,17 @@ struct ParetoRoute {
 
 /// Search instrumentation (scalability benches report these).
 struct MlcStats {
+  /// Labels queued. The exact search only filters new labels against
+  /// expanded ones, so it queues some an open-bag scan would have
+  /// rejected (about 14% more on a 32x32 city than the bag search).
   std::size_t labels_created = 0;
+  /// Exact search: labels rejected by a staircase, when created or when
+  /// popped. Epsilon-merge search: bag labels a newer label dominated.
   std::size_t labels_dominated = 0;
+  /// Dominance work, the search's cost driver: staircase probes (one
+  /// per created and per popped label) in the exact search, bag entries
+  /// compared in the epsilon-merge search.
+  std::size_t dominance_checks = 0;
   std::size_t queue_pops = 0;
   std::size_t pareto_size = 0;
   /// Expansions rejected because travel time plus the node's

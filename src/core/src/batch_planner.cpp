@@ -29,6 +29,7 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
 void accumulate(MlcStats& into, const MlcStats& stats) {
   into.labels_created += stats.labels_created;
   into.labels_dominated += stats.labels_dominated;
+  into.dominance_checks += stats.dominance_checks;
   into.queue_pops += stats.queue_pops;
   into.pareto_size += stats.pareto_size;
   into.labels_pruned_bound += stats.labels_pruned_bound;
@@ -181,6 +182,7 @@ BatchResult BatchPlanner::plan_all(
           record.mlc_seconds = stats.search_seconds;
           record.labels_created = stats.labels_created;
           record.labels_dominated = stats.labels_dominated;
+          record.dominance_checks = stats.dominance_checks;
           record.queue_pops = stats.queue_pops;
           record.pareto_size = stats.pareto_size;
           record.labels_pruned_bound = stats.labels_pruned_bound;

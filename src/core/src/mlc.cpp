@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <queue>
-
+#include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "sunchase/common/error.h"
 #include "sunchase/common/logging.h"
@@ -24,6 +25,7 @@ namespace {
 struct MlcMetrics {
   obs::Counter& labels_created;
   obs::Counter& labels_dominated;
+  obs::Counter& dominance_checks;
   obs::Counter& queue_pops;
   obs::Counter& queries;
   obs::Counter& label_cap_hits;
@@ -36,6 +38,7 @@ struct MlcMetrics {
     static MlcMetrics metrics{
         obs::Registry::global().counter("mlc.labels_created"),
         obs::Registry::global().counter("mlc.labels_dominated"),
+        obs::Registry::global().counter("mlc.dominance_checks"),
         obs::Registry::global().counter("mlc.queue_pops"),
         obs::Registry::global().counter("mlc.queries"),
         obs::Registry::global().counter("mlc.label_cap_hits"),
@@ -57,16 +60,325 @@ struct Label {
   bool alive = true;  ///< false once dominated (lazy queue deletion)
 };
 
+/// A queued label. Only the travel time is copied in, keeping entries
+/// small; the rare tie on it reads the rest of the cost from the arena.
 struct QueueEntry {
-  Criteria cost;  ///< snapshot for ordering
+  double travel_time;
   std::uint32_t label;
 };
 
-struct LexGreater {
+/// Heap order: `a` pops after `b`. Lexicographic minimum first; costs
+/// that tie within kCriteriaEpsilon pop in label-creation order, which
+/// is what makes "the earliest-created of equivalent labels survives"
+/// (mlc.h) deterministic.
+struct PopsLater {
+  const Label* arena;
+
   bool operator()(const QueueEntry& a, const QueueEntry& b) const noexcept {
-    return lex_less(b.cost, a.cost);
+    int c = detail::fuzzy_cmp(b.travel_time, a.travel_time);
+    if (c == 0) c = lex_compare(arena[b.label].cost, arena[a.label].cost);
+    return c != 0 ? c < 0 : a.label > b.label;
   }
 };
+
+/// One expanded label's (shaded time, energy) at a node.
+struct Step {
+  double shade;
+  double energy;
+};
+
+/// The exact search's record of the labels expanded at one node: their
+/// 2-D Pareto staircase, shade strictly ascending and energy strictly
+/// descending. Pop order is lexicographic and every edge takes positive
+/// time, so each expanded label is no slower than any label still to
+/// come at the node; the 3-D dominance test reduces to these two.
+using Staircase = std::vector<Step>;
+
+/// True when some step weakly dominates (shade, energy) within
+/// kCriteriaEpsilon — the 2-D form of `equivalent || dominates`. The
+/// last step with shade <= cost.shade + eps has the least energy of
+/// all such steps, so one binary search decides.
+bool covers(const Staircase& stairs, const Criteria& cost) noexcept {
+  const double shade = cost.shaded_time.value() + kCriteriaEpsilon;
+  const auto above = std::upper_bound(
+      stairs.begin(), stairs.end(), shade,
+      [](double s, const Step& step) { return s < step.shade; });
+  return above != stairs.begin() &&
+         std::prev(above)->energy <=
+             cost.energy_out.value() + kCriteriaEpsilon;
+}
+
+/// Adds an uncovered cost and drops the steps it dominates exactly
+/// (shade and energy both >=): a run starting at its sorted position.
+/// Exact removal keeps the fuzzy tolerance from compounding.
+void add_step(Staircase& stairs, const Criteria& cost) {
+  const Step step{cost.shaded_time.value(), cost.energy_out.value()};
+  const auto first = std::lower_bound(
+      stairs.begin(), stairs.end(), step.shade,
+      [](const Step& s, double shade) { return s.shade < shade; });
+  auto last = first;
+  while (last != stairs.end() && last->energy >= step.energy) ++last;
+  if (first == last) {
+    stairs.insert(first, step);
+  } else {
+    *first = step;
+    stairs.erase(first + 1, last);
+  }
+}
+
+/// Search buffers kept per thread between queries, so a search reuses
+/// their capacity instead of allocating the arena, the heap and one
+/// record per node on every call. A node's record is valid only when
+/// its stamp equals the current generation; a query therefore touches
+/// just the nodes it reaches.
+struct Workspace {
+  struct Node {
+    std::uint32_t stamp = 0;
+    Staircase stairs;                ///< exact search (epsilon == 0)
+    std::vector<std::uint32_t> bag;  ///< epsilon-merge search
+  };
+
+  std::vector<Label> arena;
+  std::vector<QueueEntry> heap;
+  std::vector<Node> nodes;
+  std::uint32_t generation = 0;
+
+  void begin(std::size_t node_count) {
+    arena.clear();
+    arena.reserve(1024);
+    heap.clear();
+    if (nodes.size() < node_count) nodes.resize(node_count);
+    if (++generation == 0) {  // wrapped: no stale stamp may match again
+      for (Node& n : nodes) n.stamp = 0;
+      generation = 1;
+    }
+  }
+
+  Node& at(roadnet::NodeId v) {
+    Node& n = nodes[v];
+    if (n.stamp != generation) {
+      n.stamp = generation;
+      n.stairs.clear();
+      n.bag.clear();
+    }
+    return n;
+  }
+
+  /// Bytes held by the flat buffers (per-node vectors not counted).
+  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
+    return arena.capacity() * sizeof(Label) +
+           heap.capacity() * sizeof(QueueEntry) +
+           nodes.capacity() * sizeof(Node);
+  }
+};
+
+/// A workspace keeps its buffers between searches only while they hold
+/// 1 to 16 MB. Smaller ones malloc recycles as cheaply (measured: kept
+/// in every server worker they only added resident memory); larger
+/// ones, beyond a 32x32-city query's quarter million labels, would let
+/// one outlier query or world pin memory in every thread.
+constexpr std::size_t kMinRetainedBytes = std::size_t{1} << 20;
+constexpr std::size_t kMaxRetainedBytes = std::size_t{16} << 20;
+
+/// The calling thread's workspace, reset for one search and trimmed
+/// when the search ends, by return or by throw. A search never starts
+/// another on its own thread, so one workspace per thread suffices.
+class WorkspaceLease {
+ public:
+  explicit WorkspaceLease(std::size_t node_count) : ws_(local()) {
+    ws_.begin(node_count);
+  }
+  ~WorkspaceLease() {
+    const std::size_t bytes = ws_.capacity_bytes();
+    if (bytes < kMinRetainedBytes || bytes > kMaxRetainedBytes)
+      ws_ = Workspace{};
+  }
+  WorkspaceLease(const WorkspaceLease&) = delete;
+  WorkspaceLease& operator=(const WorkspaceLease&) = delete;
+
+  Workspace& operator*() const noexcept { return ws_; }
+
+ private:
+  static Workspace& local() {
+    thread_local Workspace workspace;
+    return workspace;
+  }
+  Workspace& ws_;
+};
+
+/// One query's inputs and buffers, shared by both search strategies.
+struct Search {
+  const roadnet::RoadGraph& graph;
+  const solar::SolarInputMap& map;
+  const ev::ConsumptionModel& vehicle;
+  const SlotCostCache* cache;
+  const MlcOptions& options;
+  TimeOfDay departure;
+  double time_bound;
+  const std::vector<double>& lower_bounds;
+  Workspace& ws;
+  MlcStats& stats;
+
+  /// Creates a label and queues it; RoutingError past the label budget.
+  std::uint32_t push(roadnet::NodeId v, const Criteria& cost,
+                     roadnet::EdgeId via, std::int32_t parent) {
+    if (ws.arena.size() >= options.max_labels) {
+      MlcMetrics::get().label_cap_hits.add();
+      SUNCHASE_LOG(Info) << "mlc: label budget of " << options.max_labels
+                         << " exhausted at node " << v << " ("
+                         << stats.labels_dominated
+                         << " labels dominated so far)";
+      throw RoutingError("MultiLabelCorrecting::search: label budget of " +
+                         std::to_string(options.max_labels) + " exhausted");
+    }
+    const auto idx = static_cast<std::uint32_t>(ws.arena.size());
+    ws.arena.push_back(Label{cost, v, via, parent, true});
+    ++stats.labels_created;
+    ws.heap.push_back(QueueEntry{cost.travel_time.value(), idx});
+    std::push_heap(ws.heap.begin(), ws.heap.end(), PopsLater{ws.arena.data()});
+    return idx;
+  }
+
+  QueueEntry pop() {
+    std::pop_heap(ws.heap.begin(), ws.heap.end(), PopsLater{ws.arena.data()});
+    const QueueEntry entry = ws.heap.back();
+    ws.heap.pop_back();
+    ++stats.queue_pops;
+    return entry;
+  }
+
+  /// Prices every out-edge of `current` and hands each extension that
+  /// can still make the time budget to `insert(to, cost, edge, parent)`.
+  template <typename Insert>
+  void expand(const Label& current, std::uint32_t index, Insert&& insert) {
+    const TimeOfDay now =
+        options.time_dependent
+            ? departure.advanced_by(current.cost.travel_time)
+            : departure;
+    // Under SlotQuantized all expansions from this label share one slot
+    // column: resolve the slot once, then each edge is an array read.
+    const int slot = cache ? now.slot_index() : 0;
+    for (const roadnet::EdgeId e : graph.out_edges(current.node)) {
+      const Criteria next =
+          current.cost +
+          (cache ? cache->at(e, slot).criteria
+                 : detail::edge_criteria(map, vehicle, e, now));
+      const roadnet::NodeId to = graph.edge(e).to;
+      if (time_bound > 0.0) {
+        // With lower bounds: can this label still reach the destination
+        // inside the budget? Without: the plain arrival-time filter
+        // (lb == 0 everywhere, which the bounds subsume since lb >= 0).
+        const double slack = lower_bounds.empty() ? 0.0 : lower_bounds[to];
+        if (next.travel_time.value() + slack > time_bound) {
+          ++stats.labels_pruned_bound;
+          continue;  // cannot make the acceptable arrival time
+        }
+      }
+      insert(to, next, e, static_cast<std::int32_t>(index));
+    }
+  }
+};
+
+/// Exact search (epsilon == 0): lazy dominance against the per-node
+/// staircases of expanded labels. A new label is dropped when its
+/// node's staircase covers it; a popped one is discarded when covered,
+/// else it joins the staircase and is expanded. Returns the destination
+/// labels of the Pareto set.
+std::vector<std::uint32_t> staircase_search(Search& s, roadnet::NodeId origin,
+                                            roadnet::NodeId destination) {
+  auto covered = [&](roadnet::NodeId v, const Criteria& cost) {
+    ++s.stats.dominance_checks;
+    if (!covers(s.ws.at(v).stairs, cost)) return false;
+    ++s.stats.labels_dominated;
+    return true;
+  };
+
+  std::vector<std::uint32_t> arrivals;  // destination labels, pop order
+  s.push(origin, Criteria{}, roadnet::kInvalidEdge, -1);
+  while (!s.ws.heap.empty()) {
+    const QueueEntry entry = s.pop();
+    const Label current = s.ws.arena[entry.label];  // copy: arena may grow
+    if (covered(current.node, current.cost)) continue;
+    add_step(s.ws.at(current.node).stairs, current.cost);
+    // Expanding from the destination only finds cycles back to it, and
+    // every cycle is dominated (criteria are non-negative additive).
+    if (current.node == destination) {
+      arrivals.push_back(entry.label);
+      continue;
+    }
+    s.expand(current, entry.label,
+             [&](roadnet::NodeId to, const Criteria& next, roadnet::EdgeId e,
+                 std::int32_t parent) {
+               if (!covered(to, next)) s.push(to, next, e, parent);
+             });
+  }
+
+  // The heap's fuzzy comparator can pop near-ties (within 2 * eps of
+  // travel time) out of order, so a later arrival may dominate an
+  // earlier one the staircase already accepted: one mutual pass.
+  std::vector<std::uint32_t> frontier;
+  frontier.reserve(arrivals.size());
+  for (const std::uint32_t idx : arrivals) {
+    const Criteria& cost = s.ws.arena[idx].cost;
+    if (std::none_of(arrivals.begin(), arrivals.end(),
+                     [&](std::uint32_t other) {
+                       return dominates(s.ws.arena[other].cost, cost);
+                     }))
+      frontier.push_back(idx);
+  }
+  return frontier;
+}
+
+/// Epsilon-merge search (epsilon > 0): eager per-node bags of open and
+/// expanded labels, scanned on every insert. Kept apart from the
+/// staircase because (1 + epsilon) merges are not lexicographically
+/// monotone: a lazy variant returns a different approximate frontier.
+std::vector<std::uint32_t> bag_search(Search& s, roadnet::NodeId origin,
+                                      roadnet::NodeId destination) {
+  auto& arena = s.ws.arena;
+  auto& stats = s.stats;
+  const double epsilon = s.options.epsilon;
+
+  // Initialization: L(origin) = (origin, (0,0,0), NULL).
+  s.push(origin, Criteria{}, roadnet::kInvalidEdge, -1);
+  s.ws.at(origin).bag.push_back(0);
+
+  // Inserts `cost` at node v if non-dominated; prunes the bag.
+  auto try_insert = [&](roadnet::NodeId v, const Criteria& cost,
+                        roadnet::EdgeId via, std::int32_t parent) {
+    auto& bag = s.ws.at(v).bag;
+    for (const std::uint32_t idx : bag) {
+      ++stats.dominance_checks;
+      const Criteria& existing = arena[idx].cost;
+      if (equivalent(existing, cost) || dominates(existing, cost)) return;
+      if (epsilon_dominates(existing, cost, epsilon)) {
+        ++stats.labels_merged_epsilon;
+        return;
+      }
+    }
+    // Remove bag labels the new cost dominates (step 2c of Algorithm 1;
+    // queue entries die lazily via the alive flag).
+    std::erase_if(bag, [&](std::uint32_t idx) {
+      ++stats.dominance_checks;
+      if (dominates(cost, arena[idx].cost)) {
+        arena[idx].alive = false;
+        ++stats.labels_dominated;
+        return true;
+      }
+      return false;
+    });
+    bag.push_back(s.push(v, cost, via, parent));
+  };
+
+  while (!s.ws.heap.empty()) {
+    const QueueEntry entry = s.pop();
+    const Label current = arena[entry.label];  // copy: arena may grow
+    if (!current.alive) continue;  // lazily deleted
+    if (current.node == destination) continue;
+    s.expand(current, entry.label, try_insert);
+  }
+  return s.ws.at(destination).bag;
+}
 
 }  // namespace
 
@@ -137,98 +449,16 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
             .count();
   }
 
-  std::vector<Label> arena;
-  arena.reserve(1024);
-  std::vector<std::vector<std::uint32_t>> bags(graph.node_count());
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, LexGreater> queue;
+  const WorkspaceLease lease(graph.node_count());
+  Search s(graph, map, vehicle, cache_, options_, departure, time_bound,
+           lower_bounds, *lease, result.stats);
+  const std::vector<std::uint32_t> pareto =
+      options_.epsilon > 0.0 ? bag_search(s, origin, destination)
+                             : staircase_search(s, origin, destination);
 
-  // Initialization: L(origin) = (origin, (0,0,0), NULL).
-  arena.push_back(Label{Criteria{}, origin, roadnet::kInvalidEdge, -1, true});
-  bags[origin].push_back(0);
-  queue.push(QueueEntry{Criteria{}, 0});
-  result.stats.labels_created = 1;
-
-  // Inserts `cost` at node v if non-dominated; prunes the bag.
-  auto try_insert = [&](roadnet::NodeId v, const Criteria& cost,
-                        roadnet::EdgeId via, std::int32_t parent) {
-    auto& bag = bags[v];
-    for (const std::uint32_t idx : bag) {
-      const Criteria& existing = arena[idx].cost;
-      if (equivalent(existing, cost) || dominates(existing, cost)) return;
-      // Relaxed merge: only consulted when epsilon > 0, so the exact
-      // (epsilon = 0) search takes the identical code path above.
-      if (options_.epsilon > 0.0 &&
-          epsilon_dominates(existing, cost, options_.epsilon)) {
-        ++result.stats.labels_merged_epsilon;
-        return;
-      }
-    }
-    // Remove bag labels the new cost dominates (step 2c of Algorithm 1;
-    // queue entries die lazily via the alive flag).
-    std::erase_if(bag, [&](std::uint32_t idx) {
-      if (dominates(cost, arena[idx].cost)) {
-        arena[idx].alive = false;
-        ++result.stats.labels_dominated;
-        return true;
-      }
-      return false;
-    });
-    if (arena.size() >= options_.max_labels) {
-      MlcMetrics::get().label_cap_hits.add();
-      SUNCHASE_LOG(Info) << "mlc: label budget of " << options_.max_labels
-                         << " exhausted at node " << v << " ("
-                         << result.stats.labels_dominated
-                         << " labels dominated so far)";
-      throw RoutingError("MultiLabelCorrecting::search: label budget of " +
-                         std::to_string(options_.max_labels) + " exhausted");
-    }
-    const auto idx = static_cast<std::uint32_t>(arena.size());
-    arena.push_back(Label{cost, v, via, parent, true});
-    ++result.stats.labels_created;
-    bag.push_back(idx);
-    queue.push(QueueEntry{cost, idx});
-  };
-
-  while (!queue.empty()) {
-    const QueueEntry entry = queue.top();
-    queue.pop();
-    ++result.stats.queue_pops;
-    const Label current = arena[entry.label];  // copy: arena may grow
-    if (!current.alive) continue;  // lazily deleted
-    // Expanding from the destination only finds cycles back to it, and
-    // every cycle is dominated (criteria are non-negative additive).
-    if (current.node == destination) continue;
-
-    const TimeOfDay now =
-        options_.time_dependent
-            ? departure.advanced_by(current.cost.travel_time)
-            : departure;
-    // Under SlotQuantized all expansions from this label share one slot
-    // column: resolve the slot once, then each edge is an array read.
-    const int slot = cache_ ? now.slot_index() : 0;
-    for (const roadnet::EdgeId e : graph.out_edges(current.node)) {
-      const Criteria next =
-          current.cost +
-          (cache_ ? cache_->at(e, slot).criteria
-                  : detail::edge_criteria(map, vehicle, e, now));
-      const roadnet::NodeId to = graph.edge(e).to;
-      if (time_bound > 0.0) {
-        // With lower bounds: can this label still reach the destination
-        // inside the budget? Without: the plain arrival-time filter
-        // (lb == 0 everywhere, which the bounds subsume since lb >= 0).
-        const double slack =
-            lower_bounds.empty() ? 0.0 : lower_bounds[to];
-        if (next.travel_time.value() + slack > time_bound) {
-          ++result.stats.labels_pruned_bound;
-          continue;  // cannot make the acceptable arrival time
-        }
-      }
-      try_insert(to, next, e, static_cast<std::int32_t>(entry.label));
-    }
-  }
-
-  // Harvest the destination bag and rebuild paths parent-by-parent.
-  for (const std::uint32_t idx : bags[destination]) {
+  // Rebuild the Pareto set's paths parent-by-parent.
+  const std::vector<Label>& arena = s.ws.arena;
+  for (const std::uint32_t idx : pareto) {
     if (origin == destination && arena[idx].parent == -1) {
       result.routes.push_back(ParetoRoute{{}, arena[idx].cost});
       continue;
@@ -255,6 +485,7 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
   const MlcMetrics& metrics = MlcMetrics::get();
   metrics.labels_created.add(result.stats.labels_created);
   metrics.labels_dominated.add(result.stats.labels_dominated);
+  metrics.dominance_checks.add(result.stats.dominance_checks);
   metrics.queue_pops.add(result.stats.queue_pops);
   metrics.queries.add();
   metrics.labels_pruned_bound.add(result.stats.labels_pruned_bound);
@@ -266,6 +497,7 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
                       << departure.to_string() << ": "
                       << result.stats.labels_created << " labels, "
                       << result.stats.labels_dominated << " dominated, "
+                      << result.stats.dominance_checks << " checks, "
                       << result.stats.queue_pops << " pops, Pareto set "
                       << result.stats.pareto_size;
   return result;

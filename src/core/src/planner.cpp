@@ -82,6 +82,7 @@ PlanResult SunChasePlanner::plan(roadnet::NodeId origin,
       record.selection_seconds = selection.selection_seconds;
       record.labels_created = search.stats.labels_created;
       record.labels_dominated = search.stats.labels_dominated;
+      record.dominance_checks = search.stats.dominance_checks;
       record.queue_pops = search.stats.queue_pops;
       record.pareto_size = search.stats.pareto_size;
       record.labels_pruned_bound = search.stats.labels_pruned_bound;

@@ -58,6 +58,7 @@ struct QueryRecord {
   // Search effort (MlcStats of the query).
   std::uint64_t labels_created = 0;
   std::uint64_t labels_dominated = 0;
+  std::uint64_t dominance_checks = 0;  ///< staircase probes / bag compares
   std::uint64_t queue_pops = 0;
   std::uint64_t pareto_size = 0;
   std::uint64_t labels_pruned_bound = 0;   ///< time-budget prune rejections

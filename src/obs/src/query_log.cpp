@@ -65,6 +65,7 @@ std::string QueryRecord::to_json() const {
       << ",\"cpu_ms\":" << format_double(cpu_ms)
       << ",\"labels_created\":" << labels_created
       << ",\"labels_dominated\":" << labels_dominated
+      << ",\"dominance_checks\":" << dominance_checks
       << ",\"queue_pops\":" << queue_pops << ",\"pareto_size\":"
       << pareto_size << ",\"labels_pruned_bound\":" << labels_pruned_bound
       << ",\"labels_merged_epsilon\":" << labels_merged_epsilon

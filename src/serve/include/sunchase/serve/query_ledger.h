@@ -45,6 +45,7 @@ struct LedgerEntry {
   double cpu_ms = 0.0;
   std::uint64_t labels_created = 0;
   std::uint64_t queue_pops = 0;
+  std::uint64_t dominance_checks = 0;
 };
 
 /// Thread-safe fixed-capacity ring keyed by a dense monotonic query id.

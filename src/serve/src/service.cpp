@@ -355,6 +355,7 @@ HttpResponse RouteService::handle_plan(const HttpRequest& request) {
   entry.cpu_ms = plan.cpu_seconds * 1000.0;
   entry.labels_created = plan.search_stats.labels_created;
   entry.queue_pops = plan.search_stats.queue_pops;
+  entry.dominance_checks = plan.search_stats.dominance_checks;
   const std::uint64_t query_id = ledger_.record(std::move(entry));
   counter("serve.plans").add();
 
@@ -379,6 +380,8 @@ HttpResponse RouteService::handle_plan(const HttpRequest& request) {
          std::to_string(plan.search_stats.labels_created);
   out += ",\"labels_dominated\":" +
          std::to_string(plan.search_stats.labels_dominated);
+  out += ",\"dominance_checks\":" +
+         std::to_string(plan.search_stats.dominance_checks);
   out += ",\"queue_pops\":" + std::to_string(plan.search_stats.queue_pops);
   out += ",\"pareto_size\":" + std::to_string(plan.search_stats.pareto_size);
   out += ",\"labels_pruned_bound\":" +
@@ -466,6 +469,7 @@ HttpResponse RouteService::handle_batch(const HttpRequest& request) {
     entry.cpu_ms = qr.cpu_seconds * 1000.0;
     entry.labels_created = qr.result->stats.labels_created;
     entry.queue_pops = qr.result->stats.queue_pops;
+    entry.dominance_checks = qr.result->stats.dominance_checks;
     const std::uint64_t query_id = ledger_.record(std::move(entry));
 
     rows += ",\"status\":\"ok\"";
@@ -526,7 +530,9 @@ HttpResponse RouteService::handle_explain(std::uint64_t query_id) {
   // What the original answer cost: CPU + the search effort behind it.
   out += ",\"cost_accounting\":{\"cpu_ms\":" + num(entry->cpu_ms);
   out += ",\"labels_created\":" + std::to_string(entry->labels_created);
-  out += ",\"queue_pops\":" + std::to_string(entry->queue_pops) + "}";
+  out += ",\"queue_pops\":" + std::to_string(entry->queue_pops);
+  out += ",\"dominance_checks\":" +
+         std::to_string(entry->dominance_checks) + "}";
   out += ",\"conserves\":";
   out += route_ledger.conserves(entry->cost) ? "true" : "false";
   out += ",\"max_deviation\":" + num(route_ledger.max_deviation(entry->cost));

@@ -4,6 +4,7 @@
 // multi-label correcting search against.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -86,22 +87,34 @@ struct RoutingEnv {
   const ev::ConsumptionModel& tesla;
 };
 
-/// Enumerates every simple path origin->destination (DFS) and prices it
-/// with *static* edge criteria at `departure`, then filters to the
-/// Pareto frontier. Ground truth for MLC with time_dependent = false.
+/// Prices an edge given the route's cost accumulated up to its entry.
+using EdgePricer =
+    std::function<core::Criteria(roadnet::EdgeId, const core::Criteria&)>;
+
+/// Per node, the cost of every simple path from the origin that reaches
+/// it without passing the destination.
+using PrefixCosts = std::vector<std::vector<core::Criteria>>;
+
+/// Enumerates every simple path origin->destination (DFS), prices it
+/// edge by edge with `price`, drops routes slower than `max_travel_time`
+/// (0 = no limit), then filters to the Pareto frontier. When `prefixes`
+/// is given it receives the cost of every path prefix the DFS priced.
 inline std::vector<core::ParetoRoute> brute_force_pareto(
-    const solar::SolarInputMap& map, const ev::ConsumptionModel& vehicle,
-    roadnet::NodeId origin, roadnet::NodeId destination,
-    TimeOfDay departure) {
-  const auto& graph = map.graph();
+    const roadnet::RoadGraph& graph, roadnet::NodeId origin,
+    roadnet::NodeId destination, const EdgePricer& price,
+    double max_travel_time = 0.0, PrefixCosts* prefixes = nullptr) {
+  if (prefixes != nullptr) prefixes->assign(graph.node_count(), {});
   std::vector<core::ParetoRoute> all;
   std::vector<roadnet::EdgeId> stack;
   std::vector<bool> visited(graph.node_count(), false);
 
   std::function<void(roadnet::NodeId, core::Criteria)> dfs =
       [&](roadnet::NodeId u, core::Criteria cost) {
+        if (prefixes != nullptr) (*prefixes)[u].push_back(cost);
         if (u == destination) {
-          all.push_back(core::ParetoRoute{roadnet::Path{stack}, cost});
+          if (max_travel_time <= 0.0 ||
+              cost.travel_time.value() <= max_travel_time)
+            all.push_back(core::ParetoRoute{roadnet::Path{stack}, cost});
           return;
         }
         visited[u] = true;
@@ -109,8 +122,7 @@ inline std::vector<core::ParetoRoute> brute_force_pareto(
           const roadnet::NodeId v = graph.edge(e).to;
           if (visited[v]) continue;
           stack.push_back(e);
-          dfs(v, cost + core::detail::edge_criteria(map, vehicle, e,
-                                                    departure));
+          dfs(v, cost + price(e, cost));
           stack.pop_back();
         }
         visited[u] = false;
@@ -135,6 +147,37 @@ inline std::vector<core::ParetoRoute> brute_force_pareto(
     if (!duplicate) frontier.push_back(candidate);
   }
   return frontier;
+}
+
+/// Ground truth for MLC with time_dependent = false: every edge priced
+/// with *static* criteria at `departure`.
+inline std::vector<core::ParetoRoute> brute_force_pareto(
+    const solar::SolarInputMap& map, const ev::ConsumptionModel& vehicle,
+    roadnet::NodeId origin, roadnet::NodeId destination,
+    TimeOfDay departure) {
+  return brute_force_pareto(
+      map.graph(), origin, destination,
+      [&](roadnet::EdgeId e, const core::Criteria&) {
+        return core::detail::edge_criteria(map, vehicle, e, departure);
+      });
+}
+
+/// Ground truth for the time-dependent MLC: each edge priced at the
+/// clock the route enters it (departure + travel time so far), rounded
+/// down to the 15-minute slot start under SlotQuantized pricing.
+inline std::vector<core::ParetoRoute> brute_force_pareto_time_dependent(
+    const solar::SolarInputMap& map, const ev::ConsumptionModel& vehicle,
+    roadnet::NodeId origin, roadnet::NodeId destination,
+    TimeOfDay departure, core::PricingMode pricing,
+    double max_travel_time, PrefixCosts* prefixes = nullptr) {
+  return brute_force_pareto(
+      map.graph(), origin, destination,
+      [&](roadnet::EdgeId e, const core::Criteria& so_far) {
+        const TimeOfDay entry = core::pricing_time(
+            departure.advanced_by(so_far.travel_time), pricing);
+        return core::detail::edge_criteria(map, vehicle, e, entry);
+      },
+      max_travel_time, prefixes);
 }
 
 }  // namespace sunchase::test

@@ -60,6 +60,13 @@ TEST(LexLess, TieBreaksByShadedTimeThenEnergy) {
   EXPECT_FALSE(lex_less(make(1, 2, 3), make(1, 2, 3)));
 }
 
+TEST(LexCompare, SignOfTheFirstCriterionBeyondTolerance) {
+  EXPECT_EQ(lex_compare(make(1, 9, 9), make(2, 0, 0)), -1);
+  EXPECT_EQ(lex_compare(make(1, 3, 0), make(1, 2, 9)), +1);
+  EXPECT_EQ(lex_compare(make(1, 2, 3), make(1, 2, 4)), -1);
+  EXPECT_EQ(lex_compare(make(1, 2, 3), make(1, 2, 3 + 1e-12)), 0);
+}
+
 // Property: dominance is a strict partial order — irreflexive,
 // asymmetric, transitive — over a deterministic sample.
 class DominanceOrderProperty : public ::testing::TestWithParam<int> {};

@@ -37,6 +37,7 @@ QueryRecord sample_record(std::int64_t index) {
   record.mlc_seconds = 0.012;
   record.total_seconds = 0.015;
   record.labels_created = 100;
+  record.dominance_checks = 250;
   record.pareto_size = 4;
   record.candidate_count = 2;
   record.travel_time_s = 310.5;
@@ -57,6 +58,7 @@ TEST(QueryLogTest, WritesOneParseableLinePerRecord) {
     EXPECT_TRUE(test::json_parses(line)) << line;
     EXPECT_NE(line.find("\"mode\":\"batch\""), std::string::npos);
     EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos);
+    EXPECT_NE(line.find("\"dominance_checks\":250"), std::string::npos);
   }
   EXPECT_EQ(log.record_count(), 2u);
 }

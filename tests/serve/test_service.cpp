@@ -108,6 +108,7 @@ TEST_F(ServeServiceTest, PlanReturnsCandidatesAndRecordsLedgerEntry) {
   EXPECT_TRUE(shortest.find("shortest_time")->as_bool());
   EXPECT_GT(shortest.number_or("travel_time_s", 0), 0.0);
   EXPECT_GT(body.find("stats")->number_or("labels_created", 0), 0.0);
+  EXPECT_GT(body.find("stats")->number_or("dominance_checks", 0), 0.0);
 
   EXPECT_EQ(service_.ledger().recorded(), 1u);
   EXPECT_TRUE(service_.ledger().find(1).has_value());
@@ -576,6 +577,7 @@ TEST_F(ServeServiceTest, PlanResponsesAndLedgerCarryCpuAccounting) {
   ASSERT_TRUE(entry.has_value());
   EXPECT_GT(entry->cpu_ms, 0.0);
   EXPECT_GT(entry->labels_created, 0u);
+  EXPECT_GT(entry->dominance_checks, 0u);
 
   // /explain surfaces the same accounting next to the energy ledger.
   const JsonValue explain =
@@ -584,6 +586,7 @@ TEST_F(ServeServiceTest, PlanResponsesAndLedgerCarryCpuAccounting) {
   ASSERT_NE(accounting, nullptr);
   EXPECT_GT(accounting->number_or("cpu_ms", 0.0), 0.0);
   EXPECT_GT(accounting->number_or("labels_created", 0.0), 0.0);
+  EXPECT_GT(accounting->number_or("dominance_checks", 0.0), 0.0);
 }
 
 TEST_F(ServeServiceTest, BatchResponsesAndLedgerCarryCpuSeconds) {

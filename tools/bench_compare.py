@@ -15,9 +15,10 @@ Understands three report schemas, detected from the report itself:
 * perf_mlc_scaling (BENCH_mlc.json, ``"bench": "perf_mlc_scaling"``):
   samples keyed by (n, mode, epsilon); gates on peak
   queries_per_second AND on the current report's own pruned-vs-unpruned
-  rows at the largest world — the pruned search must create strictly
-  fewer labels and pop fewer queue entries than the unpruned one, so
-  the lower-bound pruning can never silently stop pruning.
+  rows at every world size (the largest included) — the pruned search
+  must create strictly fewer labels and pop fewer queue entries than
+  the unpruned one, so the lower-bound pruning can never silently stop
+  pruning.
 * perf_coldstart (BENCH_coldstart.json, ``"bench": "perf_coldstart"``):
   scalar build/save/load timings; gates on the current run's own
   speedup ratio — mmap-loading a snapshot must be at least 5x faster
@@ -292,7 +293,7 @@ def main():
 
         headers = ["n", "mode", "base q/s", "cur q/s", "Δq/s",
                    "base labels", "cur labels", "Δlabels",
-                   "cur pruned", "cur pops"]
+                   "cur pruned", "cur pops", "cur checks"]
         base_by_key = {key(s): s for s in baseline.get("samples", [])}
         rows = []
         for sample in current.get("samples", []):
@@ -310,6 +311,7 @@ def main():
                           sample.get("labels_created")),
                 fmt(sample.get("labels_pruned_bound"), "{:.0f}"),
                 fmt(sample.get("queue_pops"), "{:.0f}"),
+                fmt(sample.get("dominance_checks"), "{:.0f}"),
             ])
     else:
         # Samples are keyed by (pricing, workers); old baselines without
@@ -395,36 +397,39 @@ def main():
 
     if schema == "mlc":
         # Self-gate on the current run (no tolerance — this is a strict
-        # invariant, not a machine-speed comparison): at the largest
-        # world, the pruned search must do strictly less work than the
-        # unpruned one in both labels created and queue pops.
+        # invariant, not a machine-speed comparison): at every world
+        # size, the pruned search must do strictly less work than the
+        # unpruned one in both labels created and queue pops. The
+        # largest world must carry both rows.
+        by_n = {}
+        for s in current.get("samples", []):
+            if s.get("epsilon", 0.0) == 0.0:
+                by_n.setdefault(s["n"], {})[s["mode"]] = s
         largest = max(s["n"] for s in current.get("samples", []))
-        at_largest = {
-            s["mode"]: s
-            for s in current.get("samples", [])
-            if s["n"] == largest and s.get("epsilon", 0.0) == 0.0
-        }
-        pruned, unpruned = at_largest.get("pruned"), at_largest.get("unpruned")
-        if pruned is None or unpruned is None:
+        if set(by_n.get(largest, {})) < {"pruned", "unpruned"}:
             raise SystemExit(
                 "error: mlc report is missing the pruned or unpruned "
                 f"epsilon=0 sample at its largest world (n={largest})"
             )
-        for field in ("labels_created", "queue_pops"):
-            p, u = float(pruned[field]), float(unpruned[field])
-            line = (f"pruning (n={largest}): {field} {u:.0f} unpruned -> "
-                    f"{p:.0f} pruned ({(1 - p / u) * 100.0:.1f}% saved)")
-            print(line)
-            summary_lines.append(line)
-            if not p < u:
-                message = (
-                    f"FAIL: pruned search no longer reduces {field} at "
-                    f"n={largest} ({p:.0f} pruned vs {u:.0f} unpruned) — "
-                    "the lower-bound pruning has stopped pruning"
-                )
-                print(message, file=sys.stderr)
-                summary_lines.append(f"**{message}**")
-                failed = True
+        for n, rows in sorted(by_n.items()):
+            pruned, unpruned = rows.get("pruned"), rows.get("unpruned")
+            if pruned is None or unpruned is None:
+                continue
+            for field in ("labels_created", "queue_pops"):
+                p, u = float(pruned[field]), float(unpruned[field])
+                line = (f"pruning (n={n}): {field} {u:.0f} unpruned -> "
+                        f"{p:.0f} pruned ({(1 - p / u) * 100.0:.1f}% saved)")
+                print(line)
+                summary_lines.append(line)
+                if not p < u:
+                    message = (
+                        f"FAIL: pruned search no longer reduces {field} at "
+                        f"n={n} ({p:.0f} pruned vs {u:.0f} unpruned) — "
+                        "the lower-bound pruning has stopped pruning"
+                    )
+                    print(message, file=sys.stderr)
+                    summary_lines.append(f"**{message}**")
+                    failed = True
 
     verdict = ("within tolerance of baseline" if not failed
                else "regression against baseline")
