@@ -2,6 +2,8 @@
 // criteria vector the router searches over.
 #pragma once
 
+#include <span>
+
 #include "sunchase/core/criteria.h"
 #include "sunchase/core/world_fwd.h"
 #include "sunchase/ev/consumption.h"
@@ -51,10 +53,26 @@ namespace detail {
 
 /// Implementation primitive over the snapshot's components — internal;
 /// public callers go through the WorldPtr overload above so no
-/// long-lived layer ever borrows raw world data.
+/// long-lived layer ever borrows raw world data. A one-edge
+/// price_edges() that counts one "solar.evaluate_calls".
 [[nodiscard]] Criteria edge_criteria(const solar::SolarInputMap& map,
                                      const ev::ConsumptionModel& vehicle,
                                      roadnet::EdgeId edge, TimeOfDay when);
+
+/// The exact pricing primitive: out[i] is the criteria vector of
+/// entering edges[i] at `when`, i.e. {travel time, shaded time,
+/// consumption at the edge's speed}. One TrafficModel::speeds call
+/// fills `speeds` (a buffer the caller owns, left holding each edge's
+/// speed), then each edge goes through SolarInputMap::evaluate_at_speed
+/// — the arithmetic SolarInputMap::evaluate is built on — so every
+/// result is bit-identical to pricing the edge alone with evaluate(),
+/// the traffic speed and the vehicle's consumption. Computes no
+/// energy_in and leaves "solar.evaluate_calls" to the caller. Throws
+/// InvalidArgument when `speeds` or `out` is shorter than `edges`.
+void price_edges(const solar::SolarInputMap& map,
+                 const ev::ConsumptionModel& vehicle,
+                 std::span<const roadnet::EdgeId> edges, TimeOfDay when,
+                 std::span<MetersPerSecond> speeds, std::span<Criteria> out);
 
 }  // namespace detail
 

@@ -35,11 +35,18 @@ namespace sunchase::core {
 /// "slotcache.fill_seconds" histogram of per-column fill times.
 class SlotCostCache {
  public:
-  /// One (edge, slot) row: the search's criteria vector plus the full
-  /// solar accounting, both priced at the slot start.
+  /// One (edge, slot) row priced at the slot start: the full solar
+  /// accounting, and the vehicle's consumption at the speed it carries.
   struct Entry {
-    Criteria criteria;
     solar::EdgeSolar solar;
+    WattHours energy_out{0.0};
+
+    /// The search's criteria vector: bit-identical to edge_criteria at
+    /// the slot start (the same evaluate_at_speed fields and the same
+    /// consumption at the same speed).
+    [[nodiscard]] Criteria criteria() const noexcept {
+      return Criteria{solar.travel_time, solar.shaded_time, energy_out};
+    }
   };
 
   SlotCostCache(const SlotCostCache&) = delete;

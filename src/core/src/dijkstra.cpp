@@ -1,9 +1,8 @@
 #include "sunchase/core/dijkstra.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
-#include <vector>
+#include <cmath>
+#include <functional>
 
 #include "sunchase/common/error.h"
 #include "sunchase/core/world.h"
@@ -20,6 +19,66 @@ std::optional<ShortestTimeResult> shortest_time_path(
 
 namespace detail {
 
+void DijkstraState::begin(std::size_t node_count) {
+  heap_.clear();
+  if (nodes_.size() < node_count) nodes_.resize(node_count);
+  size_ = node_count;
+  if (++generation_ == 0) {  // wrapped: no stale stamp may match again
+    for (Node& n : nodes_) n = Node{};
+    generation_ = 1;
+  }
+}
+
+void DijkstraState::relax(roadnet::NodeId v, double d, roadnet::EdgeId via) {
+  if (!(d < (*this)[v])) return;
+  nodes_[v].dist = d;
+  nodes_[v].via = via;
+  nodes_[v].reached = generation_;
+  heap_.emplace_back(d, v);
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+}
+
+std::optional<std::pair<double, roadnet::NodeId>>
+DijkstraState::settle_next() {
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const auto top = heap_.back();
+    heap_.pop_back();
+    Node& n = nodes_[top.second];
+    if (n.settled == generation_) continue;  // stale entry
+    n.settled = generation_;
+    return top;
+  }
+  return std::nullopt;
+}
+
+namespace {
+
+/// The calling thread's DijkstraState for shortest_time_path, kept
+/// between queries under retain_workspace (like the MLC workspace).
+class StateLease {
+ public:
+  explicit StateLease(std::size_t node_count) : state_(local()) {
+    state_.begin(node_count);
+  }
+  ~StateLease() {
+    if (!retain_workspace(state_.capacity_bytes())) state_ = DijkstraState{};
+  }
+  StateLease(const StateLease&) = delete;
+  StateLease& operator=(const StateLease&) = delete;
+
+  DijkstraState& operator*() const noexcept { return state_; }
+
+ private:
+  static DijkstraState& local() {
+    thread_local DijkstraState state;
+    return state;
+  }
+  DijkstraState& state_;
+};
+
+}  // namespace
+
 std::optional<ShortestTimeResult> shortest_time_path(
     const roadnet::RoadGraph& graph, const roadnet::TrafficModel& traffic,
     roadnet::NodeId origin, roadnet::NodeId destination, TimeOfDay departure) {
@@ -27,41 +86,27 @@ std::optional<ShortestTimeResult> shortest_time_path(
   if (origin >= n || destination >= n)
     throw GraphError("shortest_time_path: unknown node");
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(n, kInf);
-  std::vector<roadnet::EdgeId> via(n, roadnet::kInvalidEdge);
-  std::vector<bool> settled(n, false);
-
-  using QueueItem = std::pair<double, roadnet::NodeId>;  // (elapsed s, node)
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> queue;
-  dist[origin] = 0.0;
-  queue.emplace(0.0, origin);
-
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (settled[u]) continue;
-    settled[u] = true;
+  const StateLease lease(n);
+  DijkstraState& state = *lease;
+  state.relax(origin, 0.0, roadnet::kInvalidEdge);
+  while (const auto top = state.settle_next()) {
+    const auto [d, u] = *top;  // elapsed seconds, node
     if (u == destination) break;
     const TimeOfDay now = departure.advanced_by(Seconds{d});
     for (const roadnet::EdgeId e : graph.out_edges(u)) {
       const roadnet::NodeId v = graph.edge(e).to;
-      if (settled[v]) continue;
-      const double nd = d + traffic.travel_time(graph, e, now).value();
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        via[v] = e;
-        queue.emplace(nd, v);
-      }
+      if (state.settled(v)) continue;
+      state.relax(v, d + traffic.travel_time(graph, e, now).value(), e);
     }
   }
 
-  if (dist[destination] == kInf) return std::nullopt;
+  const double arrival = state[destination];
+  if (std::isinf(arrival)) return std::nullopt;
 
   ShortestTimeResult result;
-  result.travel_time = Seconds{dist[destination]};
+  result.travel_time = Seconds{arrival};
   for (roadnet::NodeId u = destination; u != origin;) {
-    const roadnet::EdgeId e = via[u];
+    const roadnet::EdgeId e = state.via(u);
     result.path.edges.push_back(e);
     u = graph.edge(e).from;
   }
@@ -69,38 +114,22 @@ std::optional<ShortestTimeResult> shortest_time_path(
   return result;
 }
 
-std::vector<double> time_lower_bounds(const roadnet::RoadGraph& graph,
-                                      const roadnet::TrafficModel& traffic,
-                                      roadnet::NodeId destination) {
-  const std::size_t n = graph.node_count();
-  if (destination >= n) throw GraphError("time_lower_bounds: unknown node");
+void time_lower_bounds(const roadnet::RoadGraph& graph,
+                       const roadnet::TrafficModel& traffic,
+                       roadnet::NodeId destination, DijkstraState& bounds) {
+  if (destination >= graph.node_count())
+    throw GraphError("time_lower_bounds: unknown node");
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(n, kInf);
-  std::vector<bool> settled(n, false);
-
-  using QueueItem = std::pair<double, roadnet::NodeId>;  // (bound s, node)
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> queue;
-  dist[destination] = 0.0;
-  queue.emplace(0.0, destination);
-
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (settled[u]) continue;
-    settled[u] = true;
+  bounds.begin(graph.node_count());
+  bounds.relax(destination, 0.0, roadnet::kInvalidEdge);
+  while (const auto top = bounds.settle_next()) {
+    const auto [d, u] = *top;  // bound in seconds, node
     for (const roadnet::EdgeId e : graph.in_edges(u)) {
       const roadnet::NodeId v = graph.edge(e).from;
-      if (settled[v]) continue;
-      const double nd = d + traffic.min_travel_time(graph, e).value();
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        queue.emplace(nd, v);
-      }
+      if (bounds.settled(v)) continue;
+      bounds.relax(v, d + traffic.min_travel_time(graph, e).value(), e);
     }
   }
-
-  return dist;
 }
 
 }  // namespace detail

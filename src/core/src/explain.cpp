@@ -128,8 +128,7 @@ RouteLedger RouteExplainer::explain(const roadnet::Path& path,
     const TimeOfDay priced_at = pricing_time(entry, pricing);
     const solar::EdgeSolar es = map.evaluate(e, priced_at);
     const auto& edge = graph.edge(e);
-    const MetersPerSecond v = map.traffic().speed(graph, e, priced_at);
-    const WattHours out = vehicle.consumption(edge.length, v);
+    const WattHours out = vehicle.consumption(edge.length, es.speed);
 
     ExplainStep step;
     step.edge = e;
@@ -138,7 +137,7 @@ RouteLedger RouteExplainer::explain(const roadnet::Path& path,
     step.entry = entry;
     step.slot = entry.slot_index();
     step.length = edge.length;
-    step.speed = v;
+    step.speed = es.speed;
     step.shade_ratio = es.shade_ratio;
     step.travel_time = es.travel_time;
     step.solar_time = es.solar_time;
@@ -146,8 +145,12 @@ RouteLedger RouteExplainer::explain(const roadnet::Path& path,
     step.energy_in = es.energy_in;
     step.energy_out = out;
 
-    // Identical arithmetic to edge_criteria + Criteria::operator+= so
-    // the conservation check holds exactly, not just within tolerance.
+    // evaluate() and price_edges() (which edge_criteria, the exact
+    // search and the slot-cache fill all use) share evaluate_at_speed,
+    // and the consumption is taken at the speed evaluate() priced with,
+    // so this is the search's edge price bit for bit; summed with
+    // Criteria::operator+= in route order, the conservation check holds
+    // exactly, not just within tolerance.
     cumulative += Criteria{es.travel_time, es.shaded_time, out};
     cumulative_in += es.energy_in;
     step.cumulative = cumulative;

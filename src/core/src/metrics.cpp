@@ -1,5 +1,7 @@
 #include "sunchase/core/metrics.h"
 
+#include <string>
+
 #include "sunchase/common/error.h"
 #include "sunchase/core/world.h"
 
@@ -10,11 +12,31 @@ namespace detail {
 Criteria edge_criteria(const solar::SolarInputMap& map,
                        const ev::ConsumptionModel& vehicle,
                        roadnet::EdgeId edge, TimeOfDay when) {
-  const solar::EdgeSolar es = map.evaluate(edge, when);
+  MetersPerSecond speed;
+  Criteria out;
+  price_edges(map, vehicle, std::span(&edge, 1), when, std::span(&speed, 1),
+              std::span(&out, 1));
+  map.count_evaluations(1);
+  return out;
+}
+
+void price_edges(const solar::SolarInputMap& map,
+                 const ev::ConsumptionModel& vehicle,
+                 std::span<const roadnet::EdgeId> edges, TimeOfDay when,
+                 std::span<MetersPerSecond> speeds, std::span<Criteria> out) {
+  if (out.size() < edges.size())
+    throw InvalidArgument("price_edges: output holds " +
+                          std::to_string(out.size()) + " prices for " +
+                          std::to_string(edges.size()) + " edges");
   const auto& graph = map.graph();
-  const MetersPerSecond v = map.traffic().speed(graph, edge, when);
-  return Criteria{es.travel_time, es.shaded_time,
-                  vehicle.consumption(graph.edge(edge).length, v)};
+  map.traffic().speeds(graph, edges, when, speeds);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const solar::EdgeSolar es = map.evaluate_at_speed(edges[i], when,
+                                                      speeds[i]);
+    out[i] = Criteria{es.travel_time, es.shaded_time,
+                      vehicle.consumption(graph.edge(edges[i]).length,
+                                          speeds[i])};
+  }
 }
 
 RouteMetrics evaluate_route(const solar::SolarInputMap& map,
@@ -25,13 +47,12 @@ RouteMetrics evaluate_route(const solar::SolarInputMap& map,
   const auto& graph = map.graph();
   for (const roadnet::EdgeId e : path.edges) {
     const solar::EdgeSolar es = map.evaluate(e, clock);
-    const MetersPerSecond v = map.traffic().speed(graph, e, clock);
     m.total_length += graph.edge(e).length;
     m.travel_time += es.travel_time;
     m.solar_time += es.solar_time;
     m.shaded_time += es.shaded_time;
     m.energy_in += es.energy_in;
-    m.energy_out += vehicle.consumption(graph.edge(e).length, v);
+    m.energy_out += vehicle.consumption(graph.edge(e).length, es.speed);
     clock = clock.advanced_by(es.travel_time);
   }
   return m;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "sunchase/common/logging.h"
 #include "sunchase/core/dijkstra.h"
 #include "sunchase/core/slot_cost_cache.h"
+#include "sunchase/core/staircase.h"
 #include "sunchase/core/world.h"
 #include "sunchase/obs/metrics.h"
 #include "sunchase/obs/trace.h"
@@ -81,60 +83,15 @@ struct PopsLater {
   }
 };
 
-/// One expanded label's (shaded time, energy) at a node.
-struct Step {
-  double shade;
-  double energy;
-};
-
-/// The exact search's record of the labels expanded at one node: their
-/// 2-D Pareto staircase, shade strictly ascending and energy strictly
-/// descending. Pop order is lexicographic and every edge takes positive
-/// time, so each expanded label is no slower than any label still to
-/// come at the node; the 3-D dominance test reduces to these two.
-using Staircase = std::vector<Step>;
-
-/// True when some step weakly dominates (shade, energy) within
-/// kCriteriaEpsilon — the 2-D form of `equivalent || dominates`. The
-/// last step with shade <= cost.shade + eps has the least energy of
-/// all such steps, so one binary search decides.
-bool covers(const Staircase& stairs, const Criteria& cost) noexcept {
-  const double shade = cost.shaded_time.value() + kCriteriaEpsilon;
-  const auto above = std::upper_bound(
-      stairs.begin(), stairs.end(), shade,
-      [](double s, const Step& step) { return s < step.shade; });
-  return above != stairs.begin() &&
-         std::prev(above)->energy <=
-             cost.energy_out.value() + kCriteriaEpsilon;
-}
-
-/// Adds an uncovered cost and drops the steps it dominates exactly
-/// (shade and energy both >=): a run starting at its sorted position.
-/// Exact removal keeps the fuzzy tolerance from compounding.
-void add_step(Staircase& stairs, const Criteria& cost) {
-  const Step step{cost.shaded_time.value(), cost.energy_out.value()};
-  const auto first = std::lower_bound(
-      stairs.begin(), stairs.end(), step.shade,
-      [](const Step& s, double shade) { return s.shade < shade; });
-  auto last = first;
-  while (last != stairs.end() && last->energy >= step.energy) ++last;
-  if (first == last) {
-    stairs.insert(first, step);
-  } else {
-    *first = step;
-    stairs.erase(first + 1, last);
-  }
-}
-
 /// Search buffers kept per thread between queries, so a search reuses
-/// their capacity instead of allocating the arena, the heap and one
-/// record per node on every call. A node's record is valid only when
-/// its stamp equals the current generation; a query therefore touches
-/// just the nodes it reaches.
+/// their capacity instead of allocating the arena, the heap, one
+/// record per node and the lower bounds on every call. A node's record
+/// is valid only when its stamp equals the current generation; a query
+/// therefore touches just the nodes it reaches.
 struct Workspace {
   struct Node {
     std::uint32_t stamp = 0;
-    Staircase stairs;                ///< exact search (epsilon == 0)
+    detail::Staircase stairs;        ///< exact search (epsilon == 0)
     std::vector<std::uint32_t> bag;  ///< epsilon-merge search
   };
 
@@ -142,6 +99,10 @@ struct Workspace {
   std::vector<QueueEntry> heap;
   std::vector<Node> nodes;
   std::uint32_t generation = 0;
+  /// Exact pricing of one expansion's out-edges (detail::price_edges).
+  std::vector<MetersPerSecond> speeds;
+  std::vector<Criteria> prices;
+  detail::DijkstraState lower_bounds;
 
   void begin(std::size_t node_count) {
     arena.clear();
@@ -168,17 +129,12 @@ struct Workspace {
   [[nodiscard]] std::size_t capacity_bytes() const noexcept {
     return arena.capacity() * sizeof(Label) +
            heap.capacity() * sizeof(QueueEntry) +
-           nodes.capacity() * sizeof(Node);
+           nodes.capacity() * sizeof(Node) +
+           speeds.capacity() * sizeof(MetersPerSecond) +
+           prices.capacity() * sizeof(Criteria) +
+           lower_bounds.capacity_bytes();
   }
 };
-
-/// A workspace keeps its buffers between searches only while they hold
-/// 1 to 16 MB. Smaller ones malloc recycles as cheaply (measured: kept
-/// in every server worker they only added resident memory); larger
-/// ones, beyond a 32x32-city query's quarter million labels, would let
-/// one outlier query or world pin memory in every thread.
-constexpr std::size_t kMinRetainedBytes = std::size_t{1} << 20;
-constexpr std::size_t kMaxRetainedBytes = std::size_t{16} << 20;
 
 /// The calling thread's workspace, reset for one search and trimmed
 /// when the search ends, by return or by throw. A search never starts
@@ -189,9 +145,7 @@ class WorkspaceLease {
     ws_.begin(node_count);
   }
   ~WorkspaceLease() {
-    const std::size_t bytes = ws_.capacity_bytes();
-    if (bytes < kMinRetainedBytes || bytes > kMaxRetainedBytes)
-      ws_ = Workspace{};
+    if (!detail::retain_workspace(ws_.capacity_bytes())) ws_ = Workspace{};
   }
   WorkspaceLease(const WorkspaceLease&) = delete;
   WorkspaceLease& operator=(const WorkspaceLease&) = delete;
@@ -215,9 +169,13 @@ struct Search {
   const MlcOptions& options;
   TimeOfDay departure;
   double time_bound;
-  const std::vector<double>& lower_bounds;
+  /// Time-to-destination bounds; nullptr when pruning is off.
+  const detail::DijkstraState* lower_bounds;
   Workspace& ws;
   MlcStats& stats;
+  /// Exact edge pricings, added to "solar.evaluate_calls" with the other
+  /// counters once the search returns: no atomic in the inner loop.
+  std::size_t pricings = 0;
 
   /// Creates a label and queues it; RoutingError past the label budget.
   std::uint32_t push(roadnet::NodeId v, const Criteria& cost,
@@ -255,20 +213,31 @@ struct Search {
         options.time_dependent
             ? departure.advanced_by(current.cost.travel_time)
             : departure;
-    // Under SlotQuantized all expansions from this label share one slot
-    // column: resolve the slot once, then each edge is an array read.
+    const std::span<const roadnet::EdgeId> edges =
+        graph.out_edges(current.node);
+    // Every out-edge is entered at the same clock. Under SlotQuantized
+    // they share one slot column: resolve the slot once, then each edge
+    // is an array read. Under Exact they are priced in one batch.
     const int slot = cache ? now.slot_index() : 0;
-    for (const roadnet::EdgeId e : graph.out_edges(current.node)) {
+    if (!cache) {
+      if (ws.prices.size() < edges.size()) {
+        ws.speeds.resize(edges.size());
+        ws.prices.resize(edges.size());
+      }
+      detail::price_edges(map, vehicle, edges, now, ws.speeds, ws.prices);
+      pricings += edges.size();
+    }
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const roadnet::EdgeId e = edges[i];
       const Criteria next =
           current.cost +
-          (cache ? cache->at(e, slot).criteria
-                 : detail::edge_criteria(map, vehicle, e, now));
+          (cache ? cache->at(e, slot).criteria() : ws.prices[i]);
       const roadnet::NodeId to = graph.edge(e).to;
       if (time_bound > 0.0) {
         // With lower bounds: can this label still reach the destination
         // inside the budget? Without: the plain arrival-time filter
         // (lb == 0 everywhere, which the bounds subsume since lb >= 0).
-        const double slack = lower_bounds.empty() ? 0.0 : lower_bounds[to];
+        const double slack = lower_bounds ? (*lower_bounds)[to] : 0.0;
         if (next.travel_time.value() + slack > time_bound) {
           ++stats.labels_pruned_bound;
           continue;  // cannot make the acceptable arrival time
@@ -288,7 +257,7 @@ std::vector<std::uint32_t> staircase_search(Search& s, roadnet::NodeId origin,
                                             roadnet::NodeId destination) {
   auto covered = [&](roadnet::NodeId v, const Criteria& cost) {
     ++s.stats.dominance_checks;
-    if (!covers(s.ws.at(v).stairs, cost)) return false;
+    if (!detail::covers(s.ws.at(v).stairs, cost)) return false;
     ++s.stats.labels_dominated;
     return true;
   };
@@ -299,7 +268,7 @@ std::vector<std::uint32_t> staircase_search(Search& s, roadnet::NodeId origin,
     const QueueEntry entry = s.pop();
     const Label current = s.ws.arena[entry.label];  // copy: arena may grow
     if (covered(current.node, current.cost)) continue;
-    add_step(s.ws.at(current.node).stairs, current.cost);
+    detail::add_step(s.ws.at(current.node).stairs, current.cost);
     // Expanding from the destination only finds cycles back to it, and
     // every cycle is dominated (criteria are non-negative additive).
     if (current.node == destination) {
@@ -430,28 +399,32 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
           ? shortest->travel_time.value() * options_.max_time_factor
           : 0.0;
 
+  const WorkspaceLease lease(graph.node_count());
+  Workspace& ws = *lease;
+
   // Time-to-destination lower bounds (the ROADMAP's ellipse pruning):
   // a reverse Dijkstra with static admissible edge weights, settled over
   // the whole component so every node a label can touch has a bound.
   // Admissibility makes the prune exact — a label it kills can only lead
   // to arrivals past the budget, and domination is downward-closed under
   // it (a dominating label has <= travel time, so it survives whenever
-  // its victim would). Empty when pruning is off or no budget is set;
-  // lower_bounds[destination] == 0, so in-budget arrivals never prune.
-  std::vector<double> lower_bounds;
+  // its victim would). Skipped when pruning is off or no budget is set;
+  // the bound at the destination is 0, so in-budget arrivals never prune.
+  const detail::DijkstraState* lower_bounds = nullptr;
   if (time_bound > 0.0 && options_.prune_with_lower_bounds) {
     const obs::SpanTimer lb_span("mlc.lower_bounds");
     const auto lb_start = std::chrono::steady_clock::now();
-    lower_bounds = detail::time_lower_bounds(graph, map.traffic(), destination);
+    detail::time_lower_bounds(graph, map.traffic(), destination,
+                              ws.lower_bounds);
+    lower_bounds = &ws.lower_bounds;
     result.stats.lower_bound_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       lb_start)
             .count();
   }
 
-  const WorkspaceLease lease(graph.node_count());
   Search s(graph, map, vehicle, cache_, options_, departure, time_bound,
-           lower_bounds, *lease, result.stats);
+           lower_bounds, ws, result.stats);
   const std::vector<std::uint32_t> pareto =
       options_.epsilon > 0.0 ? bag_search(s, origin, destination)
                              : staircase_search(s, origin, destination);
@@ -490,6 +463,7 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
   metrics.queries.add();
   metrics.labels_pruned_bound.add(result.stats.labels_pruned_bound);
   metrics.labels_merged_epsilon.add(result.stats.labels_merged_epsilon);
+  map.count_evaluations(s.pricings);
   if (result.stats.lower_bound_seconds > 0.0)
     metrics.lower_bound_latency.observe(result.stats.lower_bound_seconds);
   metrics.latency.observe(result.stats.search_seconds);

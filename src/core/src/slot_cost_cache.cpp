@@ -1,6 +1,7 @@
 #include "sunchase/core/slot_cost_cache.h"
 
 #include <chrono>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,18 +61,25 @@ void SlotCostCache::fill(Column& column, int slot) const {
   const TimeOfDay when = TimeOfDay::slot_start(slot);
   const auto& graph = map_.graph();
   const std::size_t n = graph.edge_count();
+  // One batched speed lookup for the whole column (UrbanTraffic works
+  // out its congestion factor once per clock) and one panel-power call,
+  // then per edge the arithmetic evaluate() and price_edges() share
+  // (evaluate_at_speed) and the consumption at the same speed: every
+  // row is bit-identical to edge_criteria() at the slot start.
+  std::vector<roadnet::EdgeId> edges(n);
+  std::iota(edges.begin(), edges.end(), roadnet::EdgeId{0});
+  std::vector<MetersPerSecond> speeds(n);
+  map_.traffic().speeds(graph, edges, when, speeds);
+  const Watts panel = map_.panel_power(when);
   std::vector<Entry> entries;
   entries.reserve(n);
-  // Bit-identical to edge_criteria(): the same evaluate/speed/consumption
-  // calls in the same order, just hoisted out of the search loop.
   for (roadnet::EdgeId e = 0; e < n; ++e) {
-    const solar::EdgeSolar es = map_.evaluate(e, when);
-    const MetersPerSecond v = map_.traffic().speed(graph, e, when);
+    solar::EdgeSolar es = map_.evaluate_at_speed(e, when, speeds[e]);
+    es.energy_in = energy(panel, es.solar_time);
     entries.push_back(
-        Entry{Criteria{es.travel_time, es.shaded_time,
-                       vehicle_.consumption(graph.edge(e).length, v)},
-              es});
+        Entry{es, vehicle_.consumption(graph.edge(e).length, es.speed)});
   }
+  map_.count_evaluations(n);
   column.entries = common::FrozenArray<Entry>(std::move(entries));
   publish_column(
       column,

@@ -28,7 +28,7 @@ static_assert(std::is_trivially_copyable_v<roadnet::Node> &&
 static_assert(std::is_trivially_copyable_v<roadnet::Edge> &&
               sizeof(roadnet::Edge) == 16);
 static_assert(std::is_trivially_copyable_v<SlotCostCache::Entry> &&
-              sizeof(SlotCostCache::Entry) == 64);
+              sizeof(SlotCostCache::Entry) == 56);
 
 /// kShadingMeta payload.
 struct ShadingMetaRecord {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "sunchase/common/time_of_day.h"
 #include "sunchase/common/units.h"
@@ -20,6 +21,14 @@ class TrafficModel {
   [[nodiscard]] virtual MetersPerSecond speed(const RoadGraph& graph,
                                               EdgeId edge,
                                               TimeOfDay when) const = 0;
+
+  /// Batched speed(): out[i] = speed(graph, edges[i], when) for every
+  /// i, bit for bit — the exact search prices all of a node's out-edges
+  /// at one clock, so a model can hoist its time-of-day work out of the
+  /// loop. The default loops over speed(). Throws InvalidArgument when
+  /// `out` is shorter than `edges`.
+  virtual void speeds(const RoadGraph& graph, std::span<const EdgeId> edges,
+                      TimeOfDay when, std::span<MetersPerSecond> out) const;
 
   /// Travel time on an edge = length / speed (paper: constant speed per
   /// segment, time driven by traffic flow and length).
@@ -52,6 +61,8 @@ class UniformTraffic final : public TrafficModel {
                                       TimeOfDay) const override;
   [[nodiscard]] MetersPerSecond max_speed(const RoadGraph&,
                                           EdgeId) const override;
+  void speeds(const RoadGraph&, std::span<const EdgeId> edges, TimeOfDay,
+              std::span<MetersPerSecond> out) const override;
 
   /// The single constant speed (snapshot serialization reads it back).
   [[nodiscard]] MetersPerSecond uniform_speed() const noexcept {
@@ -86,6 +97,10 @@ class UrbanTraffic final : public TrafficModel {
   /// (continuous in time, so slot-start sampling would undershoot).
   [[nodiscard]] MetersPerSecond max_speed(const RoadGraph& graph,
                                           EdgeId edge) const override;
+  /// One congestion_factor for the whole batch, then the same
+  /// max_speed * factor product speed() evaluates per edge.
+  void speeds(const RoadGraph& graph, std::span<const EdgeId> edges,
+              TimeOfDay when, std::span<MetersPerSecond> out) const override;
 
   /// The time-of-day congestion multiplier in (0, 1], exposed for tests.
   [[nodiscard]] double congestion_factor(TimeOfDay when) const noexcept;

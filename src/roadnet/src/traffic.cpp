@@ -2,10 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "sunchase/common/error.h"
 
 namespace sunchase::roadnet {
+
+namespace {
+
+void check_batch(std::span<const EdgeId> edges,
+                 std::span<MetersPerSecond> out) {
+  if (out.size() < edges.size())
+    throw InvalidArgument("TrafficModel::speeds: output holds " +
+                          std::to_string(out.size()) + " speeds for " +
+                          std::to_string(edges.size()) + " edges");
+}
+
+}  // namespace
+
+void TrafficModel::speeds(const RoadGraph& graph,
+                          std::span<const EdgeId> edges, TimeOfDay when,
+                          std::span<MetersPerSecond> out) const {
+  check_batch(edges, out);
+  for (std::size_t i = 0; i < edges.size(); ++i)
+    out[i] = speed(graph, edges[i], when);
+}
 
 Seconds TrafficModel::travel_time(const RoadGraph& graph, EdgeId edge,
                                   TimeOfDay when) const {
@@ -39,6 +60,12 @@ MetersPerSecond UniformTraffic::speed(const RoadGraph&, EdgeId,
 
 MetersPerSecond UniformTraffic::max_speed(const RoadGraph&, EdgeId) const {
   return speed_;
+}
+
+void UniformTraffic::speeds(const RoadGraph&, std::span<const EdgeId> edges,
+                            TimeOfDay, std::span<MetersPerSecond> out) const {
+  check_batch(edges, out);
+  std::fill_n(out.begin(), edges.size(), speed_);
 }
 
 UrbanTraffic::UrbanTraffic(Options options) : options_(options) {
@@ -82,6 +109,15 @@ MetersPerSecond UrbanTraffic::speed(const RoadGraph& graph, EdgeId edge,
                                     TimeOfDay when) const {
   return MetersPerSecond{max_speed(graph, edge).value() *
                          congestion_factor(when)};
+}
+
+void UrbanTraffic::speeds(const RoadGraph& graph,
+                          std::span<const EdgeId> edges, TimeOfDay when,
+                          std::span<MetersPerSecond> out) const {
+  check_batch(edges, out);
+  const double factor = congestion_factor(when);
+  for (std::size_t i = 0; i < edges.size(); ++i)
+    out[i] = MetersPerSecond{max_speed(graph, edges[i]).value() * factor};
 }
 
 }  // namespace sunchase::roadnet

@@ -30,12 +30,15 @@
 namespace sunchase::snapshot {
 
 inline constexpr char kMagic[8] = {'S', 'C', 'S', 'N', 'A', 'P', '0', '1'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// 2: a SlotCostCache entry is its EdgeSolar (now carrying the priced
+/// speed) plus the consumption, 56 bytes; version 1 stored the criteria
+/// vector and the EdgeSolar without the speed, 64 bytes.
+inline constexpr std::uint32_t kFormatVersion = 2;
 /// Written as the native byte order of the writer; a reader with a
 /// different native order sees 0x04030201 and rejects the file.
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
 /// Payload alignment: enough for any element type we store (doubles,
-/// 64-byte SlotCostCache entries) and a cache line.
+/// 56-byte SlotCostCache entries) and a cache line.
 inline constexpr std::size_t kSectionAlignment = 64;
 
 /// Fixed-size file header at offset 0.

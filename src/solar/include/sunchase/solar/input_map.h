@@ -5,6 +5,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 
 #include "sunchase/common/time_of_day.h"
 #include "sunchase/obs/metrics.h"
@@ -16,11 +17,12 @@ namespace sunchase::solar {
 
 /// Per-edge quantities at a given entry time.
 struct EdgeSolar {
-  Seconds travel_time{0.0};   ///< full edge traversal time
-  Seconds solar_time{0.0};    ///< t_solar = S_solar / V (Eq. 3)
-  Seconds shaded_time{0.0};   ///< travel_time - solar_time
-  WattHours energy_in{0.0};   ///< C * t_solar (Eq. 2)
-  double shade_ratio = 0.0;   ///< shaded fraction at the 15-min slot
+  Seconds travel_time{0.0};    ///< full edge traversal time
+  Seconds solar_time{0.0};     ///< t_solar = S_solar / V (Eq. 3)
+  Seconds shaded_time{0.0};    ///< travel_time - solar_time
+  WattHours energy_in{0.0};    ///< C * t_solar (Eq. 2)
+  double shade_ratio = 0.0;    ///< shaded fraction at the 15-min slot
+  MetersPerSecond speed{0.0};  ///< traffic speed the edge was priced at
 };
 
 /// Borrows the graph, shading profile and traffic model (callers keep
@@ -32,8 +34,40 @@ class SolarInputMap {
                 const roadnet::TrafficModel& traffic,
                 PanelPowerFn panel_power);
 
-  /// All solar quantities for entering `edge` at `when`.
+  /// All solar quantities for entering `edge` at `when`. Counts one
+  /// "solar.evaluate_calls".
   [[nodiscard]] EdgeSolar evaluate(roadnet::EdgeId edge, TimeOfDay when) const;
+
+  /// evaluate() at a traffic speed the caller already looked up (one
+  /// TrafficModel::speeds call for a batch of edges), without the panel
+  /// term: energy_in is left 0, since panel power is one value per
+  /// batch clock. Every other field is bit-identical to evaluate(edge,
+  /// when) when `speed` is traffic().speed(graph(), edge, when);
+  /// evaluate() is built on it. Not counted in "solar.evaluate_calls":
+  /// batch callers add their pricings to it in bulk.
+  [[nodiscard]] EdgeSolar evaluate_at_speed(roadnet::EdgeId edge,
+                                            TimeOfDay when,
+                                            MetersPerSecond speed) const {
+    const Meters length = graph_.edge(edge).length;
+    const double shaded = shading_.shaded_fraction(edge, when);
+    // Same arithmetic as ShadingProfile::solar_length, but the fraction
+    // is also reported (the explain ledger renders it per edge).
+    const Meters solar_len = length * (1.0 - shaded);
+    EdgeSolar out;
+    out.travel_time = length / speed;
+    out.solar_time = solar_len / speed;
+    out.shaded_time = out.travel_time - out.solar_time;
+    out.shade_ratio = shaded;
+    out.speed = speed;
+    return out;
+  }
+
+  /// Adds `n` to "solar.evaluate_calls" for exact edge pricings made
+  /// through evaluate_at_speed — once per batch, not per edge — so the
+  /// counter keeps counting every pricing.
+  void count_evaluations(std::uint64_t n) const noexcept {
+    evaluate_calls_.add(n);
+  }
 
   /// Panel input power C at `when` (constant within a 15-min slot).
   [[nodiscard]] Watts panel_power(TimeOfDay when) const;

@@ -34,19 +34,9 @@ EdgeSolar SolarInputMap::evaluate(roadnet::EdgeId edge, TimeOfDay when) const {
                           << ", panel C = " << panel_power_(when).value()
                           << " W)";
   }
-  const MetersPerSecond v = traffic_.speed(graph_, edge, when);
-  const Meters length = graph_.edge(edge).length;
-  const double shaded = shading_.shaded_fraction(edge, when);
-  // Same arithmetic as ShadingProfile::solar_length, but the fraction
-  // is also reported (the explain ledger renders it per edge).
-  const Meters solar_len = length * (1.0 - shaded);
-
-  EdgeSolar out;
-  out.travel_time = length / v;
-  out.solar_time = solar_len / v;
-  out.shaded_time = out.travel_time - out.solar_time;
+  EdgeSolar out =
+      evaluate_at_speed(edge, when, traffic_.speed(graph_, edge, when));
   out.energy_in = energy(panel_power_(when), out.solar_time);
-  out.shade_ratio = shaded;
   return out;
 }
 

@@ -50,7 +50,7 @@ struct SpeedPlanResult {
   bool feasible = false;       ///< false: battery dies at every speed choice
   std::vector<SegmentPlan> segments;
   Seconds total_time{0.0};
-  WattHours final_battery{0.0};
+  WattHours final_battery{0.0};  ///< charge at arrival driving the plan
 };
 
 /// Minimum-time speed assignment with the battery constrained to stay

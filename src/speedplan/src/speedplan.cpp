@@ -103,7 +103,6 @@ SpeedPlanResult plan_speeds(const std::vector<SegmentSpec>& segments,
   // Walk the choices backwards to recover per-segment speeds.
   result.feasible = true;
   result.total_time = Seconds{best_time};
-  result.final_battery = WattHours{best_level * unit};
   result.segments.resize(segments.size());
   int level = best_level;
   for (std::size_t i = segments.size(); i-- > 0;) {
@@ -119,6 +118,15 @@ SpeedPlanResult plan_speeds(const std::vector<SegmentSpec>& segments,
     plan.consumed = vehicle.consumption(seg.length, plan.speed);
     level = c.prev_level;
   }
+  // The charge the plan really arrives with. The DP rounds the level
+  // down after every segment, so its final level can sit up to one
+  // level per segment below it.
+  double battery = initial_battery.value();
+  for (const SegmentPlan& plan : result.segments)
+    battery = std::min(
+        battery + plan.harvested.value() - plan.consumed.value(),
+        capacity.value());
+  result.final_battery = WattHours{battery};
   return result;
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+
 #include "sunchase/common/error.h"
 #include "sunchase/roadnet/citygen.h"
 #include "test_helpers.h"
@@ -13,7 +16,7 @@ TEST(Dijkstra, FindsDirectShortestPath) {
   test::SquareGraph sq;
   roadnet::UniformTraffic traffic(MetersPerSecond{10.0});
   const auto result = detail::shortest_time_path(sq.graph, traffic, 0, 3,
-                                         TimeOfDay::hms(10, 0));
+                                                 TimeOfDay::hms(10, 0));
   ASSERT_TRUE(result.has_value());
   // Either 0->1->3 or 0->2->3: both ~200 m -> ~20 s at 10 m/s.
   EXPECT_EQ(result->path.size(), 2u);
@@ -61,8 +64,10 @@ TEST(Dijkstra, OneWayDirectionRespected) {
   b.add_edge(0, 1);  // one-way only
   const roadnet::RoadGraph g = std::move(b).build();
   roadnet::UniformTraffic traffic(MetersPerSecond{10.0});
-  EXPECT_TRUE(detail::shortest_time_path(g, traffic, 0, 1, TimeOfDay::hms(9, 0)));
-  EXPECT_FALSE(detail::shortest_time_path(g, traffic, 1, 0, TimeOfDay::hms(9, 0)));
+  EXPECT_TRUE(
+      detail::shortest_time_path(g, traffic, 0, 1, TimeOfDay::hms(9, 0)));
+  EXPECT_FALSE(
+      detail::shortest_time_path(g, traffic, 1, 0, TimeOfDay::hms(9, 0)));
 }
 
 TEST(Dijkstra, OriginEqualsDestination) {
@@ -79,7 +84,7 @@ TEST(Dijkstra, UnknownNodesThrow) {
   test::SquareGraph sq;
   roadnet::UniformTraffic traffic(MetersPerSecond{10.0});
   EXPECT_THROW((void)detail::shortest_time_path(sq.graph, traffic, 0, 99,
-                                        TimeOfDay::hms(9, 0)),
+                                                TimeOfDay::hms(9, 0)),
                GraphError);
 }
 
@@ -90,10 +95,10 @@ TEST(Dijkstra, TimeDependentSpeedsAffectChoice) {
   const roadnet::UrbanTraffic traffic{roadnet::UrbanTraffic::Options{}};
   const roadnet::NodeId o = city.node_at(1, 1);
   const roadnet::NodeId d = city.node_at(8, 9);
-  const auto rush =
-      detail::shortest_time_path(city.graph(), traffic, o, d, TimeOfDay::hms(8, 30));
-  const auto midday =
-      detail::shortest_time_path(city.graph(), traffic, o, d, TimeOfDay::hms(12, 30));
+  const auto rush = detail::shortest_time_path(city.graph(), traffic, o, d,
+                                               TimeOfDay::hms(8, 30));
+  const auto midday = detail::shortest_time_path(city.graph(), traffic, o, d,
+                                                 TimeOfDay::hms(12, 30));
   ASSERT_TRUE(rush.has_value());
   ASSERT_TRUE(midday.has_value());
   EXPECT_GT(rush->travel_time.value(), midday->travel_time.value());
@@ -113,7 +118,7 @@ TEST_P(DijkstraGridProperty, PathTimeConsistent) {
   const roadnet::UniformTraffic traffic(kmh(15.0));
   const auto result =
       detail::shortest_time_path(city.graph(), traffic, city.node_at(0, 0),
-                         city.node_at(5, 5), TimeOfDay::hms(10, 0));
+                                 city.node_at(5, 5), TimeOfDay::hms(10, 0));
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(is_connected(result->path, city.graph()));
   double recomputed = 0.0;
@@ -129,7 +134,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraGridProperty,
 TEST(TimeLowerBounds, DestinationIsZeroAndNeighborsMatchStaticWeights) {
   test::SquareGraph sq;
   const roadnet::UniformTraffic traffic(MetersPerSecond{10.0});
-  const auto lb = detail::time_lower_bounds(sq.graph, traffic, 3);
+  detail::DijkstraState lb;
+  detail::time_lower_bounds(sq.graph, traffic, 3, lb);
   ASSERT_EQ(lb.size(), sq.graph.node_count());
   EXPECT_DOUBLE_EQ(lb[3], 0.0);
   // Under uniform traffic the "lower bound" IS the travel time, so the
@@ -149,7 +155,8 @@ TEST(TimeLowerBounds, AdmissibleUnderUrbanTrafficAtEveryDeparture) {
   const roadnet::GridCity city{roadnet::GridCityOptions{}};
   const roadnet::UrbanTraffic traffic{roadnet::UrbanTraffic::Options{}};
   const roadnet::NodeId dest = city.node_at(9, 9);
-  const auto lb = detail::time_lower_bounds(city.graph(), traffic, dest);
+  detail::DijkstraState lb;
+  detail::time_lower_bounds(city.graph(), traffic, dest, lb);
   for (const TimeOfDay dep :
        {TimeOfDay::hms(3, 0), TimeOfDay::hms(8, 30), TimeOfDay::hms(17, 15),
         TimeOfDay::hms(23, 59)}) {
@@ -173,7 +180,8 @@ TEST(TimeLowerBounds, UnreachableNodesGetInfinity) {
   b.add_edge(0, 1);  // node 2 cannot reach anything
   const roadnet::RoadGraph g = std::move(b).build();
   const roadnet::UniformTraffic traffic(MetersPerSecond{10.0});
-  const auto lb = detail::time_lower_bounds(g, traffic, 1);
+  detail::DijkstraState lb;
+  detail::time_lower_bounds(g, traffic, 1, lb);
   EXPECT_TRUE(std::isfinite(lb[0]));
   EXPECT_DOUBLE_EQ(lb[1], 0.0);
   EXPECT_TRUE(std::isinf(lb[2]));
@@ -189,16 +197,73 @@ TEST(TimeLowerBounds, ReverseSearchRespectsOneWayDirections) {
   b.add_edge(0, 1);
   const roadnet::RoadGraph g = std::move(b).build();
   const roadnet::UniformTraffic traffic(MetersPerSecond{10.0});
-  const auto to_1 = detail::time_lower_bounds(g, traffic, 1);
+  detail::DijkstraState to_1;
+  detail::time_lower_bounds(g, traffic, 1, to_1);
   EXPECT_TRUE(std::isfinite(to_1[0]));
-  const auto to_0 = detail::time_lower_bounds(g, traffic, 0);
+  detail::DijkstraState to_0;
+  detail::time_lower_bounds(g, traffic, 0, to_0);
   EXPECT_TRUE(std::isinf(to_0[1]));
+}
+
+TEST(TimeLowerBounds, ReusedStateMatchesAFreshOne) {
+  // The generation stamp must hide everything an earlier run left
+  // behind: a bigger world, another destination, unreachable nodes.
+  const roadnet::GridCity city{roadnet::GridCityOptions{}};
+  const roadnet::UrbanTraffic traffic{roadnet::UrbanTraffic::Options{}};
+  roadnet::GraphBuilder b;
+  b.add_node({45.50, -73.57});
+  b.add_node({45.51, -73.57});
+  b.add_node({45.52, -73.57});
+  b.add_edge(0, 1);
+  const roadnet::RoadGraph small = std::move(b).build();
+
+  detail::DijkstraState reused;
+  detail::time_lower_bounds(city.graph(), traffic, city.node_at(9, 9),
+                            reused);
+  detail::time_lower_bounds(small, traffic, 1, reused);
+  detail::DijkstraState fresh;
+  detail::time_lower_bounds(small, traffic, 1, fresh);
+  ASSERT_EQ(reused.size(), small.node_count());
+  for (roadnet::NodeId n = 0; n < small.node_count(); ++n)
+    EXPECT_EQ(reused[n], fresh[n]) << "node " << n;
+  EXPECT_TRUE(std::isinf(reused[2]));
+
+  detail::time_lower_bounds(city.graph(), traffic, city.node_at(0, 3),
+                            reused);
+  detail::time_lower_bounds(city.graph(), traffic, city.node_at(0, 3),
+                            fresh);
+  for (roadnet::NodeId n = 0; n < city.graph().node_count(); ++n)
+    EXPECT_EQ(reused[n], fresh[n]) << "node " << n;
+}
+
+TEST(Dijkstra, RepeatedQueriesOnOneThreadAreIndependent) {
+  // shortest_time_path reuses a per-thread state: a query on a small
+  // graph after a large one, and the large one again, must answer as
+  // if each ran first.
+  const roadnet::GridCity city{roadnet::GridCityOptions{}};
+  const roadnet::UrbanTraffic traffic{roadnet::UrbanTraffic::Options{}};
+  const TimeOfDay dep = TimeOfDay::hms(8, 30);
+  const auto first = detail::shortest_time_path(
+      city.graph(), traffic, city.node_at(1, 1), city.node_at(8, 9), dep);
+  ASSERT_TRUE(first.has_value());
+
+  test::SquareGraph sq;
+  const auto small = detail::shortest_time_path(sq.graph, traffic, 0, 3, dep);
+  ASSERT_TRUE(small.has_value());
+  EXPECT_EQ(small->path.size(), 2u);
+
+  const auto again = detail::shortest_time_path(
+      city.graph(), traffic, city.node_at(1, 1), city.node_at(8, 9), dep);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->travel_time.value(), first->travel_time.value());
+  EXPECT_EQ(again->path.edges, first->path.edges);
 }
 
 TEST(TimeLowerBounds, UnknownDestinationThrows) {
   test::SquareGraph sq;
   const roadnet::UniformTraffic traffic(MetersPerSecond{10.0});
-  EXPECT_THROW((void)detail::time_lower_bounds(sq.graph, traffic, 99),
+  detail::DijkstraState lb;
+  EXPECT_THROW(detail::time_lower_bounds(sq.graph, traffic, 99, lb),
                GraphError);
 }
 

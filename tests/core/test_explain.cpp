@@ -91,6 +91,26 @@ TEST(RouteExplainerTest, LedgerConservesEveryParetoRouteOnThePaperWorld) {
   }
 }
 
+TEST(RouteExplainerTest, ConservesExactRoutesBitExactly) {
+  // The ledger prices each edge with evaluate() and consumption at the
+  // speed evaluate() used — the same operations in the same order as
+  // the search's batched price_edges — so even under continuous urban
+  // congestion the sums reproduce every route's cost with zero
+  // tolerance, static or time-dependent.
+  for (const bool time_dependent : {true, false}) {
+    const MlcResult result = search_a1_b1(time_dependent);
+    ASSERT_FALSE(result.routes.empty());
+    const RouteExplainer explainer(world().snapshot);
+    for (const ParetoRoute& route : result.routes) {
+      const RouteLedger ledger =
+          explainer.explain(route, TimeOfDay::hms(10, 0), time_dependent);
+      EXPECT_TRUE(ledger.conserves(route.cost, 0.0))
+          << "deviation " << ledger.max_deviation(route.cost) << " over "
+          << ledger.steps.size() << " edges";
+    }
+  }
+}
+
 TEST(RouteExplainerTest, ConservesUnderStaticPricingToo) {
   const MlcResult result = search_a1_b1(/*time_dependent=*/false);
   ASSERT_FALSE(result.routes.empty());

@@ -29,13 +29,15 @@ TEST(SlotCostCache, EntriesMatchEdgeCriteriaAtTheSlotStart) {
     const TimeOfDay when = TimeOfDay::slot_start(slot);
     for (roadnet::EdgeId e = 0; e < 8; ++e) {
       const SlotCostCache::Entry& entry = cache.at(e, slot);
-      EXPECT_EQ(entry.criteria, detail::edge_criteria(env.map, env.lv, e, when));
+      EXPECT_EQ(entry.criteria(),
+                detail::edge_criteria(env.map, env.lv, e, when));
       const solar::EdgeSolar direct = env.map.evaluate(e, when);
       EXPECT_EQ(entry.solar.travel_time.value(), direct.travel_time.value());
       EXPECT_EQ(entry.solar.solar_time.value(), direct.solar_time.value());
       EXPECT_EQ(entry.solar.shaded_time.value(), direct.shaded_time.value());
       EXPECT_EQ(entry.solar.energy_in.value(), direct.energy_in.value());
       EXPECT_EQ(entry.solar.shade_ratio, direct.shade_ratio);
+      EXPECT_EQ(entry.solar.speed.value(), direct.speed.value());
     }
   }
 }
@@ -107,7 +109,7 @@ TEST(SlotCostCache, ConcurrentReadersShareOneMaterialization) {
             static_cast<std::size_t>(i) % city.graph().edge_count());
         const int slot = 40 + (i % 2);
         const SlotCostCache::Entry& entry = cache.at(e, slot);
-        if (e == 0 && slot == 40 && !(entry.criteria == expected))
+        if (e == 0 && slot == 40 && !(entry.criteria() == expected))
           mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -145,7 +147,7 @@ TEST(SlotCostCache, DayBoundaryPricesIdenticallyInBothModesNeverSlot96) {
     EXPECT_EQ(quantized, TimeOfDay::slot_start(TimeOfDay::kSlotsPerDay - 1));
     for (roadnet::EdgeId e = 0; e < sq.graph.edge_count(); ++e) {
       const Criteria exact = detail::edge_criteria(env.map, env.lv, e, entry);
-      EXPECT_EQ(cache.at(e, entry.slot_index()).criteria, exact);
+      EXPECT_EQ(cache.at(e, entry.slot_index()).criteria(), exact);
     }
   }
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "sunchase/common/error.h"
+#include "sunchase/roadnet/citygen.h"
 #include "test_helpers.h"
 
 namespace sunchase::roadnet {
@@ -151,6 +155,102 @@ TEST(UrbanTraffic, UnknownEdgeThrows) {
   const test::SquareGraph sq;
   const UrbanTraffic traffic(UrbanTraffic::Options{});
   EXPECT_THROW((void)traffic.speed(sq.graph, 999, TimeOfDay::hms(10, 0)),
+               GraphError);
+}
+
+/// Every edge of a 10x10 grid city, for the batched-speed tests.
+std::vector<EdgeId> all_edges(const RoadGraph& graph) {
+  std::vector<EdgeId> edges(graph.edge_count());
+  std::iota(edges.begin(), edges.end(), EdgeId{0});
+  return edges;
+}
+
+GridCityOptions ten_by_ten() {
+  GridCityOptions opt;
+  opt.rows = 10;
+  opt.cols = 10;
+  return opt;
+}
+
+TEST(TrafficSpeeds, UrbanBatchMatchesPerEdgeSpeedBitForBit) {
+  const GridCity city(ten_by_ten());
+  const UrbanTraffic traffic(UrbanTraffic::Options{});
+  const std::vector<EdgeId> edges = all_edges(city.graph());
+  std::vector<MetersPerSecond> out(edges.size());
+  // Every 7.5 minutes across the day: slot starts, midpoints, rush hour.
+  for (int half_slot = 0; half_slot < 2 * TimeOfDay::kSlotsPerDay;
+       ++half_slot) {
+    const TimeOfDay when = TimeOfDay::from_seconds(
+        half_slot * TimeOfDay::kSlotSeconds / 2.0);
+    traffic.speeds(city.graph(), edges, when, out);
+    for (const EdgeId e : edges)
+      ASSERT_EQ(out[e].value(), traffic.speed(city.graph(), e, when).value())
+          << "edge " << e << " at " << when.to_string();
+  }
+}
+
+TEST(TrafficSpeeds, UniformBatchFillsItsConstant) {
+  const GridCity city(ten_by_ten());
+  const UniformTraffic traffic(kmh(15.0));
+  const std::vector<EdgeId> edges = all_edges(city.graph());
+  std::vector<MetersPerSecond> out(edges.size());
+  traffic.speeds(city.graph(), edges, TimeOfDay::hms(8, 30), out);
+  for (const EdgeId e : edges)
+    ASSERT_EQ(out[e].value(),
+              traffic.speed(city.graph(), e, TimeOfDay::hms(8, 30)).value());
+}
+
+/// A model without a speeds() override: the batch must go through the
+/// default loop over speed(), once per edge, in order.
+class CountingTraffic final : public TrafficModel {
+ public:
+  [[nodiscard]] MetersPerSecond speed(const RoadGraph&, EdgeId edge,
+                                      TimeOfDay when) const override {
+    ++calls;
+    return MetersPerSecond{5.0 + 0.25 * edge + 0.01 * when.slot_index()};
+  }
+  mutable int calls = 0;
+};
+
+TEST(TrafficSpeeds, DefaultLoopsOverSpeed) {
+  const GridCity city(ten_by_ten());
+  const CountingTraffic traffic;
+  const std::vector<EdgeId> edges{3, 1, 4, 1, 5};
+  std::vector<MetersPerSecond> out(edges.size() + 2, MetersPerSecond{-1.0});
+  const TimeOfDay when = TimeOfDay::hms(17, 20);
+  traffic.speeds(city.graph(), edges, when, out);
+  EXPECT_EQ(traffic.calls, 5);
+  for (std::size_t i = 0; i < edges.size(); ++i)
+    EXPECT_EQ(out[i].value(),
+              traffic.speed(city.graph(), edges[i], when).value());
+  // Entries past the batch are left alone.
+  EXPECT_EQ(out[5].value(), -1.0);
+  EXPECT_EQ(out[6].value(), -1.0);
+}
+
+TEST(TrafficSpeeds, ShortOutputThrowsAndEmptyBatchIsANoOp) {
+  const GridCity city(ten_by_ten());
+  const std::vector<EdgeId> edges{0, 1, 2};
+  std::vector<MetersPerSecond> out(2);
+  const UrbanTraffic urban(UrbanTraffic::Options{});
+  const UniformTraffic uniform(kmh(15.0));
+  const CountingTraffic counting;
+  const TimeOfDay when = TimeOfDay::hms(9, 0);
+  EXPECT_THROW(urban.speeds(city.graph(), edges, when, out), InvalidArgument);
+  EXPECT_THROW(uniform.speeds(city.graph(), edges, when, out),
+               InvalidArgument);
+  EXPECT_THROW(counting.speeds(city.graph(), edges, when, out),
+               InvalidArgument);
+  urban.speeds(city.graph(), {}, when, {});
+  EXPECT_EQ(counting.calls, 0);
+}
+
+TEST(TrafficSpeeds, UrbanBatchRejectsUnknownEdges) {
+  const GridCity city(ten_by_ten());
+  const UrbanTraffic traffic(UrbanTraffic::Options{});
+  const std::vector<EdgeId> edges{0, 99999};
+  std::vector<MetersPerSecond> out(edges.size());
+  EXPECT_THROW(traffic.speeds(city.graph(), edges, TimeOfDay::hms(10, 0), out),
                GraphError);
 }
 

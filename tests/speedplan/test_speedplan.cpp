@@ -75,10 +75,13 @@ TEST_F(SpeedPlanTest, EnergyTightPlanSlowsIlluminatedSegmentsFirst) {
 TEST_F(SpeedPlanTest, BatteryNeverNegativeAlongThePlan) {
   const std::vector<SegmentSpec> route{dark(600), lit(900), dark(400),
                                        lit(700)};
+  // 50 Wh is just above the smallest feasible start for this route
+  // (45 Wh is not), so the battery runs close to empty and the
+  // constraint binds.
   const auto result =
-      plan_speeds(route, *lv_, WattHours{25.0}, WattHours{60.0});
-  if (!result.feasible) GTEST_SKIP() << "infeasible configuration";
-  double battery = 25.0;
+      plan_speeds(route, *lv_, WattHours{50.0}, WattHours{60.0});
+  ASSERT_TRUE(result.feasible);
+  double battery = 50.0;
   for (const SegmentPlan& seg : result.segments) {
     battery += seg.harvested.value() - seg.consumed.value();
     battery = std::min(battery, 60.0);
