@@ -1,13 +1,18 @@
 // The multi-label correcting algorithm (paper Algorithm 1): computes
 // the full Pareto set of routes under the three criteria. Labels carry
-// one cost per criterion; a priority queue pops the lexicographic
-// minimum. The exact search (epsilon = 0) checks dominance lazily: each
-// node keeps a 2-D (shaded time, energy) staircase of its expanded
-// labels, and because labels pop in lexicographic order over edges of
-// positive travel time, every label that can dominate a popped one has
-// already been expanded at its node (dimensionality reduction, as in
-// NAMOA*dr). The epsilon-merge search keeps per-node bags of
-// non-dominated labels and removes dominated ones lazily from the queue.
+// one cost per criterion; a monotone radix queue over travel time
+// (detail::MonotoneQueue) pops the lexicographic minimum, ties within
+// kCriteriaEpsilon of travel time broken by shade, then energy. An
+// expansion never prices the edges back to its parent label's node:
+// such a label costs at least the parent label, which is already
+// recorded at that node. The exact search (epsilon = 0) checks
+// dominance lazily: each node keeps a 2-D (shaded time, energy)
+// staircase of its expanded labels, and because labels pop in
+// lexicographic order over edges of positive travel time, every label
+// that can dominate a popped one has already been expanded at its node
+// (dimensionality reduction, as in NAMOA*dr). The epsilon-merge search
+// keeps per-node bags of non-dominated labels and removes dominated
+// ones lazily from the queue.
 //
 // Ties: costs equal within kCriteriaEpsilon in every criterion are one
 // Pareto point. Equal-cost labels pop in creation order, so of two
@@ -79,16 +84,21 @@ struct MlcStats {
   std::size_t labels_created = 0;
   /// Exact search: labels rejected by a staircase, when created or when
   /// popped. Epsilon-merge search: bag labels a newer label dominated.
+  /// Neither counts the edges back to the parent's node, which are
+  /// never priced.
   std::size_t labels_dominated = 0;
   /// Dominance work, the search's cost driver: staircase probes (one
-  /// per created and per popped label) in the exact search, bag entries
-  /// compared in the epsilon-merge search.
+  /// per candidate label that made the time budget and one per popped
+  /// label) in the exact search, bag entries compared in the
+  /// epsilon-merge search. Edges back to the parent's node are skipped
+  /// before pricing and cost no check.
   std::size_t dominance_checks = 0;
   std::size_t queue_pops = 0;
   std::size_t pareto_size = 0;
   /// Expansions rejected because travel time plus the node's
   /// time-to-destination lower bound exceeded the time budget (counts
-  /// the old plain filter too when lower-bound pruning is off).
+  /// the old plain filter too when lower-bound pruning is off). Edges
+  /// back to the parent's node are skipped first and not counted.
   std::size_t labels_pruned_bound = 0;
   /// Labels dropped by the relaxed epsilon-dominance merge (0 unless
   /// options.epsilon > 0).

@@ -1,15 +1,15 @@
 // Versioned publication point for world snapshots — the server-side
-// half of the live-update story. `current()` is a lock-free-for-readers
-// atomic shared_ptr load: a query pins the snapshot it starts on by
-// copying the pointer. `publish()` builds the next version and swaps it
-// in atomically: queries already running keep their pinned snapshot
-// (its refcount keeps it alive), queries arriving after the swap see
-// the new one, and no reader ever observes a half-built world. This is
-// the MVCC-snapshot pattern (cf. couchbase-lite-core): writers never
-// block readers, readers never block writers.
+// half of the live-update story. `current()` copies the published
+// shared_ptr under a mutex that guards nothing but that pointer: a
+// query pins the snapshot it starts on by the copy. `publish()` builds
+// the next version outside that lock and only then swaps the pointer
+// in: queries already running keep their pinned snapshot (its refcount
+// keeps it alive), queries arriving after the swap see the new one,
+// and no reader ever observes a half-built world. This is the
+// MVCC-snapshot pattern (cf. couchbase-lite-core): a reader waits at
+// most for another pointer copy or swap, never for a world build.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -85,10 +85,12 @@ class WorldStore {
   WorldStore(const WorldStore&) = delete;
   WorldStore& operator=(const WorldStore&) = delete;
 
-  /// The latest published snapshot. Wait-free for readers; call once
-  /// per query and keep the returned pointer — that is the pin.
+  /// The latest published snapshot. Blocks only for a concurrent
+  /// pointer copy or swap; call once per query and keep the returned
+  /// pointer — that is the pin.
   [[nodiscard]] WorldPtr current() const noexcept {
-    return current_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(current_mutex_);
+    return current_;
   }
 
   /// Version of the latest published snapshot.
@@ -97,8 +99,8 @@ class WorldStore {
   }
 
   /// Builds `next` as a new World with the next version number and
-  /// swaps it in atomically. Concurrent publishers are serialized
-  /// (versions stay dense and monotonic); readers are never blocked.
+  /// swaps it in. Concurrent publishers are serialized (versions stay
+  /// dense and monotonic); readers wait only for the pointer swap.
   /// With a journal enabled the version is persisted first — see
   /// JournalOptions::durable for the failure contract. Returns the
   /// newly published snapshot.
@@ -140,7 +142,11 @@ class WorldStore {
   /// Caller holds publish_mutex_. Throws common::SnapshotError.
   void persist_locked(const WorldPtr& world);
 
-  std::atomic<WorldPtr> current_;
+  /// The published snapshot. A plain mutex rather than
+  /// std::atomic<std::shared_ptr>: ThreadSanitizer cannot see the lock
+  /// bit libstdc++ packs into the latter and reports a race on it.
+  WorldPtr current_;
+  mutable std::mutex current_mutex_;  ///< guards current_ only
   std::uint64_t next_version_;   ///< guarded by publish_mutex_
   /// Serializes publishers (and journal persists) only.
   mutable std::mutex publish_mutex_;

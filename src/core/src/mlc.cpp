@@ -12,6 +12,7 @@
 #include "sunchase/common/error.h"
 #include "sunchase/common/logging.h"
 #include "sunchase/core/dijkstra.h"
+#include "sunchase/core/monotone_queue.h"
 #include "sunchase/core/slot_cost_cache.h"
 #include "sunchase/core/staircase.h"
 #include "sunchase/core/world.h"
@@ -62,29 +63,27 @@ struct Label {
   bool alive = true;  ///< false once dominated (lazy queue deletion)
 };
 
-/// A queued label. Only the travel time is copied in, keeping entries
-/// small; the rare tie on it reads the rest of the cost from the arena.
-struct QueueEntry {
-  double travel_time;
-  std::uint32_t label;
-};
-
-/// Heap order: `a` pops after `b`. Lexicographic minimum first; costs
-/// that tie within kCriteriaEpsilon pop in label-creation order, which
+/// Queue order among labels whose travel times tie within
+/// kCriteriaEpsilon (the queue keys on travel time alone): label `a`
+/// pops before label `b`. Shaded time, then energy, with lex_compare's
+/// tolerance; costs that tie in both pop in label-creation order, which
 /// is what makes "the earliest-created of equivalent labels survives"
-/// (mlc.h) deterministic.
-struct PopsLater {
+/// (mlc.h) deterministic. Only the rare tie reads the arena.
+struct PopsFirst {
   const Label* arena;
 
-  bool operator()(const QueueEntry& a, const QueueEntry& b) const noexcept {
-    int c = detail::fuzzy_cmp(b.travel_time, a.travel_time);
-    if (c == 0) c = lex_compare(arena[b.label].cost, arena[a.label].cost);
-    return c != 0 ? c < 0 : a.label > b.label;
+  bool operator()(std::uint32_t a, std::uint32_t b) const noexcept {
+    const Criteria& x = arena[a].cost;
+    const Criteria& y = arena[b].cost;
+    int c = detail::fuzzy_cmp(x.shaded_time.value(), y.shaded_time.value());
+    if (c == 0)
+      c = detail::fuzzy_cmp(x.energy_out.value(), y.energy_out.value());
+    return c != 0 ? c < 0 : a < b;
   }
 };
 
 /// Search buffers kept per thread between queries, so a search reuses
-/// their capacity instead of allocating the arena, the heap, one
+/// their capacity instead of allocating the arena, the queue, one
 /// record per node and the lower bounds on every call. A node's record
 /// is valid only when its stamp equals the current generation; a query
 /// therefore touches just the nodes it reaches.
@@ -96,10 +95,12 @@ struct Workspace {
   };
 
   std::vector<Label> arena;
-  std::vector<QueueEntry> heap;
+  detail::MonotoneQueue queue;
   std::vector<Node> nodes;
   std::uint32_t generation = 0;
-  /// Exact pricing of one expansion's out-edges (detail::price_edges).
+  /// One expansion's out-edges, less those back to the parent's node.
+  std::vector<roadnet::EdgeId> edges;
+  /// Exact pricing of those edges (detail::price_edges).
   std::vector<MetersPerSecond> speeds;
   std::vector<Criteria> prices;
   detail::DijkstraState lower_bounds;
@@ -107,7 +108,7 @@ struct Workspace {
   void begin(std::size_t node_count) {
     arena.clear();
     arena.reserve(1024);
-    heap.clear();
+    queue.clear();
     if (nodes.size() < node_count) nodes.resize(node_count);
     if (++generation == 0) {  // wrapped: no stale stamp may match again
       for (Node& n : nodes) n.stamp = 0;
@@ -127,9 +128,9 @@ struct Workspace {
 
   /// Bytes held by the flat buffers (per-node vectors not counted).
   [[nodiscard]] std::size_t capacity_bytes() const noexcept {
-    return arena.capacity() * sizeof(Label) +
-           heap.capacity() * sizeof(QueueEntry) +
+    return arena.capacity() * sizeof(Label) + queue.capacity_bytes() +
            nodes.capacity() * sizeof(Node) +
+           edges.capacity() * sizeof(roadnet::EdgeId) +
            speeds.capacity() * sizeof(MetersPerSecond) +
            prices.capacity() * sizeof(Criteria) +
            lower_bounds.capacity_bytes();
@@ -192,29 +193,37 @@ struct Search {
     const auto idx = static_cast<std::uint32_t>(ws.arena.size());
     ws.arena.push_back(Label{cost, v, via, parent, true});
     ++stats.labels_created;
-    ws.heap.push_back(QueueEntry{cost.travel_time.value(), idx});
-    std::push_heap(ws.heap.begin(), ws.heap.end(), PopsLater{ws.arena.data()});
+    ws.queue.push(cost.travel_time.value(), idx);
     return idx;
   }
 
-  QueueEntry pop() {
-    std::pop_heap(ws.heap.begin(), ws.heap.end(), PopsLater{ws.arena.data()});
-    const QueueEntry entry = ws.heap.back();
-    ws.heap.pop_back();
+  /// The next label in lexicographic order (up to kCriteriaEpsilon).
+  std::uint32_t pop() {
     ++stats.queue_pops;
-    return entry;
+    return ws.queue.pop(PopsFirst{ws.arena.data()}).id;
   }
 
-  /// Prices every out-edge of `current` and hands each extension that
-  /// can still make the time budget to `insert(to, cost, edge, parent)`.
+  /// Prices every out-edge of `current` that does not lead back to its
+  /// parent's node, and hands each extension that can still make the
+  /// time budget to `insert(to, cost, edge, parent)`. Such a U-turn
+  /// label costs at least the parent label in every criterion (edge
+  /// costs are non-negative), and the parent label, or one that
+  /// dominates it, is already in its node's staircase or bag, so the
+  /// U-turn could only be rejected there.
   template <typename Insert>
   void expand(const Label& current, std::uint32_t index, Insert&& insert) {
     const TimeOfDay now =
         options.time_dependent
             ? departure.advanced_by(current.cost.travel_time)
             : departure;
-    const std::span<const roadnet::EdgeId> edges =
-        graph.out_edges(current.node);
+    const roadnet::NodeId back =
+        current.parent < 0
+            ? roadnet::kInvalidNode
+            : ws.arena[static_cast<std::uint32_t>(current.parent)].node;
+    ws.edges.clear();
+    for (const roadnet::EdgeId e : graph.out_edges(current.node))
+      if (graph.edge(e).to != back) ws.edges.push_back(e);
+    const std::span<const roadnet::EdgeId> edges = ws.edges;
     // Every out-edge is entered at the same clock. Under SlotQuantized
     // they share one slot column: resolve the slot once, then each edge
     // is an array read. Under Exact they are priced in one batch.
@@ -255,45 +264,58 @@ struct Search {
 /// labels of the Pareto set.
 std::vector<std::uint32_t> staircase_search(Search& s, roadnet::NodeId origin,
                                             roadnet::NodeId destination) {
-  auto covered = [&](roadnet::NodeId v, const Criteria& cost) {
-    ++s.stats.dominance_checks;
-    if (!detail::covers(s.ws.at(v).stairs, cost)) return false;
-    ++s.stats.labels_dominated;
-    return true;
-  };
+  auto& arena = s.ws.arena;
+  auto& stats = s.stats;
 
   std::vector<std::uint32_t> arrivals;  // destination labels, pop order
   s.push(origin, Criteria{}, roadnet::kInvalidEdge, -1);
-  while (!s.ws.heap.empty()) {
-    const QueueEntry entry = s.pop();
-    const Label current = s.ws.arena[entry.label];  // copy: arena may grow
-    if (covered(current.node, current.cost)) continue;
-    detail::add_step(s.ws.at(current.node).stairs, current.cost);
+  while (!s.ws.queue.empty()) {
+    const std::uint32_t index = s.pop();
+    const Label current = arena[index];  // copy: arena may grow
+    ++stats.dominance_checks;
+    if (!detail::add_if_uncovered(s.ws.at(current.node).stairs,
+                                  current.cost)) {
+      ++stats.labels_dominated;
+      continue;
+    }
     // Expanding from the destination only finds cycles back to it, and
     // every cycle is dominated (criteria are non-negative additive).
     if (current.node == destination) {
-      arrivals.push_back(entry.label);
+      arrivals.push_back(index);
       continue;
     }
-    s.expand(current, entry.label,
+    s.expand(current, index,
              [&](roadnet::NodeId to, const Criteria& next, roadnet::EdgeId e,
                  std::int32_t parent) {
-               if (!covered(to, next)) s.push(to, next, e, parent);
+               ++stats.dominance_checks;
+               if (detail::covers(s.ws.at(to).stairs, next))
+                 ++stats.labels_dominated;
+               else
+                 s.push(to, next, e, parent);
              });
   }
 
-  // The heap's fuzzy comparator can pop near-ties (within 2 * eps of
-  // travel time) out of order, so a later arrival may dominate an
-  // earlier one the staircase already accepted: one mutual pass.
+  // The queue pops travel times within eps of each other in (shade,
+  // energy) order, so a later arrival may dominate an earlier one the
+  // staircase already accepted. An earlier arrival never dominates a
+  // later one: it was on the staircase when the later one popped, and
+  // would have rejected it. So each arrival (time t) is compared with
+  // later ones only, up to the first whose time f exceeds t + 2 eps:
+  // every pop is within eps of the least time then queued, and that
+  // least time never decreases, so any arrival after it has a time
+  // >= f - eps > t + eps and cannot dominate.
   std::vector<std::uint32_t> frontier;
   frontier.reserve(arrivals.size());
-  for (const std::uint32_t idx : arrivals) {
-    const Criteria& cost = s.ws.arena[idx].cost;
-    if (std::none_of(arrivals.begin(), arrivals.end(),
-                     [&](std::uint32_t other) {
-                       return dominates(s.ws.arena[other].cost, cost);
-                     }))
-      frontier.push_back(idx);
+  for (auto it = arrivals.begin(); it != arrivals.end(); ++it) {
+    const Criteria& cost = arena[*it].cost;
+    const double horizon = cost.travel_time.value() + 2 * kCriteriaEpsilon;
+    bool dominated = false;
+    for (auto later = it + 1; later != arrivals.end() && !dominated; ++later) {
+      const Criteria& other = arena[*later].cost;
+      if (other.travel_time.value() > horizon) break;
+      dominated = dominates(other, cost);
+    }
+    if (!dominated) frontier.push_back(*it);
   }
   return frontier;
 }
@@ -339,12 +361,12 @@ std::vector<std::uint32_t> bag_search(Search& s, roadnet::NodeId origin,
     bag.push_back(s.push(v, cost, via, parent));
   };
 
-  while (!s.ws.heap.empty()) {
-    const QueueEntry entry = s.pop();
-    const Label current = arena[entry.label];  // copy: arena may grow
+  while (!s.ws.queue.empty()) {
+    const std::uint32_t index = s.pop();
+    const Label current = arena[index];  // copy: arena may grow
     if (!current.alive) continue;  // lazily deleted
     if (current.node == destination) continue;
-    s.expand(current, entry.label, try_insert);
+    s.expand(current, index, try_insert);
   }
   return s.ws.at(destination).bag;
 }

@@ -58,7 +58,7 @@ WorldStore::WorldStore(WorldInit initial)
 WorldStore::WorldStore(WorldPtr initial) {
   if (!initial) throw InvalidArgument("WorldStore: null initial world");
   next_version_ = initial->version() + 1;
-  current_.store(initial, std::memory_order_release);
+  current_ = initial;
   remember(initial);
 }
 
@@ -92,7 +92,14 @@ WorldPtr WorldStore::publish(WorldInit next) {
     }
   }
   next_version_ = version + 1;
-  current_.store(world, std::memory_order_release);
+  WorldPtr previous = world;
+  {
+    const std::lock_guard<std::mutex> swap_lock(current_mutex_);
+    current_.swap(previous);
+  }
+  // The store's reference to the old version drops here, outside the
+  // pointer lock: when no reader pins it, its teardown runs now.
+  previous.reset();
   remember(world);
   obs::Registry::global().gauge("world.version").set(
       static_cast<double>(version));
