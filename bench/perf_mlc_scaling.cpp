@@ -1,17 +1,14 @@
 // MLC search-space pruning scaling: corner-to-corner Pareto searches on
 // generated n x n cities (hashed shading, urban traffic) up to n = 32,
 // where the exact search's cost grows fastest, run with the
-// reverse-Dijkstra lower-bound pruning on vs off and swept over the
-// epsilon-dominance merge factor on the n = 12 world. The paper notes
-// the Pareto search is the expensive step its route merging exists to
+// reverse-Dijkstra lower-bound pruning on vs off. The paper notes the
+// Pareto search is the expensive step its route merging exists to
 // tame; this bench tracks what the budget pruning actually saves
-// (labels created, queue pops, dominance checks, latency) and what an
-// approximate merge costs in Pareto coverage. Writes BENCH_mlc.json for
-// CI trend tracking (tools/bench_compare.py gates on it).
-#include <algorithm>
+// (labels created, queue pops, dominance checks, latency). Writes
+// BENCH_mlc.json for CI trend tracking (tools/bench_compare.py gates
+// on it).
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -70,14 +67,12 @@ ScalingWorld& world_of(int n) {
 struct Sample {
   int n = 0;
   const char* mode = "pruned";  ///< "pruned" or "unpruned"
-  double epsilon = 0.0;
   double queries_per_second = 0.0;
   double search_seconds = 0.0;      ///< mean per query
   double lower_bound_seconds = 0.0; ///< mean per query (0 unpruned)
   std::size_t labels_created = 0;
   std::size_t dominance_checks = 0;
   std::size_t labels_pruned_bound = 0;
-  std::size_t labels_merged_epsilon = 0;
   std::size_t queue_pops = 0;
   std::size_t pareto_size = 0;
 };
@@ -85,17 +80,15 @@ struct Sample {
 /// Best-of-`repeats` search at one configuration; stats come from the
 /// fastest repeat (all repeats produce identical stats — the search is
 /// deterministic — so "best" only picks the least-noisy timing).
-Sample run_config(int n, bool prune, double epsilon, int repeats) {
+Sample run_config(int n, bool prune, int repeats) {
   ScalingWorld& w = world_of(n);
   core::MlcOptions opt;
   opt.max_time_factor = 1.1;
   opt.prune_with_lower_bounds = prune;
-  opt.epsilon = epsilon;
   const core::MultiLabelCorrecting solver(w.world, opt);
   Sample s;
   s.n = n;
   s.mode = prune ? "pruned" : "unpruned";
-  s.epsilon = epsilon;
   double best = -1.0;
   for (int r = 0; r < repeats; ++r) {
     const auto result = solver.search(w.city.node_at(0, 0),
@@ -108,7 +101,6 @@ Sample run_config(int n, bool prune, double epsilon, int repeats) {
       s.labels_created = result.stats.labels_created;
       s.dominance_checks = result.stats.dominance_checks;
       s.labels_pruned_bound = result.stats.labels_pruned_bound;
-      s.labels_merged_epsilon = result.stats.labels_merged_epsilon;
       s.queue_pops = result.stats.queue_pops;
       s.pareto_size = result.stats.pareto_size;
     }
@@ -118,12 +110,11 @@ Sample run_config(int n, bool prune, double epsilon, int repeats) {
 }
 
 /// Full Pareto frontier (cost vectors only) at one configuration.
-std::vector<core::Criteria> frontier(int n, bool prune, double epsilon) {
+std::vector<core::Criteria> frontier(int n, bool prune) {
   ScalingWorld& w = world_of(n);
   core::MlcOptions opt;
   opt.max_time_factor = 1.1;
   opt.prune_with_lower_bounds = prune;
-  opt.epsilon = epsilon;
   const core::MultiLabelCorrecting solver(w.world, opt);
   const auto result = solver.search(w.city.node_at(0, 0),
                                     w.city.node_at(n - 1, n - 1),
@@ -134,42 +125,15 @@ std::vector<core::Criteria> frontier(int n, bool prune, double epsilon) {
   return costs;
 }
 
-/// Coverage error of an approximate frontier vs the exact one: for each
-/// exact point, the smallest factor by which some approximate point is
-/// worse in its worst criterion; the sweep reports the max over exact
-/// points. 0 means every exact point is (weakly) covered.
-double coverage_error(const std::vector<core::Criteria>& exact,
-                      const std::vector<core::Criteria>& approx) {
-  double worst = 0.0;
-  for (const core::Criteria& e : exact) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const core::Criteria& a : approx) {
-      auto ratio = [](double av, double ev) {
-        if (av <= ev) return 0.0;
-        return ev > 1e-12 ? (av - ev) / ev
-                          : std::numeric_limits<double>::infinity();
-      };
-      const double over =
-          std::max({ratio(a.travel_time.value(), e.travel_time.value()),
-                    ratio(a.shaded_time.value(), e.shaded_time.value()),
-                    ratio(a.energy_out.value(), e.energy_out.value())});
-      best = std::min(best, over);
-    }
-    worst = std::max(worst, best);
-  }
-  return worst;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const int repeats = argc > 1 ? std::atoi(argv[1]) : 3;
   bench::banner("MLC search-space pruning scaling",
-                "budget pruning + epsilon-dominance on the Pareto search");
+                "budget pruning on the exact Pareto search");
 
   const std::vector<int> sizes = {6, 8, 10, 12, 16, 24, 32};
   const int largest = sizes.back();
-  const int sweep_n = 12;  // the epsilon sweep's world
 
   std::vector<Sample> samples;
   std::printf("corner-to-corner searches, time budget 1.1x, 10:00, "
@@ -178,7 +142,7 @@ int main(int argc, char** argv) {
               "ms", "lb_ms", "labels", "checks", "pruned", "pops", "pareto");
   for (const int n : sizes) {
     for (const bool prune : {false, true}) {
-      const Sample s = run_config(n, prune, 0.0, repeats);
+      const Sample s = run_config(n, prune, repeats);
       samples.push_back(s);
       std::printf("%4d %9s %8.2f %9.3f %8zu %10zu %10zu %10zu %7zu\n",
                   s.n, s.mode, s.search_seconds * 1e3,
@@ -188,39 +152,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Exactness spot check riding along with the measurement: pruning at
-  // epsilon = 0 must not change the frontier (the tests pin this too,
-  // but a silent regression here would quietly invalidate the bench's
+  // Exactness spot check riding along with the measurement: pruning
+  // must not change the frontier (the tests pin this too, but a silent
+  // regression here would quietly invalidate the bench's
   // pruned-vs-unpruned comparison).
-  if (frontier(largest, true, 0.0) != frontier(largest, false, 0.0)) {
+  if (frontier(largest, true) != frontier(largest, false)) {
     std::fprintf(stderr,
                  "error: pruned frontier differs from unpruned at n=%d\n",
                  largest);
     return 1;
-  }
-
-  // Epsilon sweep on the n = 12 world, pruning on: what the relaxed
-  // merge saves and what Pareto coverage it gives up.
-  const std::vector<core::Criteria> exact = frontier(sweep_n, false, 0.0);
-  struct EpsSample {
-    double epsilon = 0.0;
-    Sample run;
-    double coverage_err = 0.0;
-  };
-  std::vector<EpsSample> sweep;
-  std::printf("\nepsilon sweep (n=%d, pruning on)\n", sweep_n);
-  std::printf("%8s %8s %8s %10s %7s %12s\n", "epsilon", "ms", "labels",
-              "merged", "pareto", "coverage_err");
-  for (const double epsilon : {0.0, 0.01, 0.05, 0.10}) {
-    EpsSample es;
-    es.epsilon = epsilon;
-    es.run = run_config(sweep_n, true, epsilon, repeats);
-    es.coverage_err = coverage_error(exact, frontier(sweep_n, true, epsilon));
-    sweep.push_back(es);
-    std::printf("%8.2f %8.2f %8zu %10zu %7zu %12.4f\n", epsilon,
-                es.run.search_seconds * 1e3, es.run.labels_created,
-                es.run.labels_merged_epsilon, es.run.pareto_size,
-                es.coverage_err);
   }
 
   const char* json_path = argc > 2 ? argv[2] : "BENCH_mlc.json";
@@ -228,41 +168,25 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"bench\": \"perf_mlc_scaling\",\n");
     std::fprintf(f, "  \"time_budget\": 1.1,\n  \"repeats\": %d,\n",
                  repeats);
-    std::fprintf(f, "  \"largest_n\": %d,\n  \"sweep_n\": %d,\n",
-                 largest, sweep_n);
+    std::fprintf(f, "  \"largest_n\": %d,\n", largest);
     std::fprintf(f, "  \"samples\": [\n");
     for (std::size_t i = 0; i < samples.size(); ++i) {
       const Sample& s = samples[i];
       std::fprintf(f,
-                   "    {\"n\": %d, \"mode\": \"%s\", \"epsilon\": %.4f, "
+                   "    {\"n\": %d, \"mode\": \"%s\", "
                    "\"queries_per_second\": %.3f, "
                    "\"search_seconds\": %.6f, "
                    "\"lower_bound_seconds\": %.6f, "
                    "\"labels_created\": %zu, \"dominance_checks\": %zu, "
                    "\"labels_pruned_bound\": %zu, "
-                   "\"labels_merged_epsilon\": %zu, \"queue_pops\": %zu, "
-                   "\"pareto_size\": %zu}%s\n",
-                   s.n, s.mode, s.epsilon, s.queries_per_second,
-                   s.search_seconds, s.lower_bound_seconds,
-                   s.labels_created, s.dominance_checks, s.labels_pruned_bound,
-                   s.labels_merged_epsilon, s.queue_pops, s.pareto_size,
-                   i + 1 < samples.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"epsilon_sweep\": [\n");
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const EpsSample& es = sweep[i];
-      std::fprintf(f,
-                   "    {\"epsilon\": %.4f, \"search_seconds\": %.6f, "
-                   "\"labels_created\": %zu, "
-                   "\"labels_merged_epsilon\": %zu, \"pareto_size\": %zu, "
-                   "\"coverage_error\": %.6f}%s\n",
-                   es.epsilon, es.run.search_seconds,
-                   es.run.labels_created, es.run.labels_merged_epsilon,
-                   es.run.pareto_size, es.coverage_err,
-                   i + 1 < sweep.size() ? "," : "");
+                   "\"queue_pops\": %zu, \"pareto_size\": %zu}%s\n",
+                   s.n, s.mode, s.queries_per_second, s.search_seconds,
+                   s.lower_bound_seconds, s.labels_created,
+                   s.dominance_checks, s.labels_pruned_bound, s.queue_pops,
+                   s.pareto_size, i + 1 < samples.size() ? "," : "");
     }
     // Registry snapshot: the mlc.* counter family (created / checks /
-    // pruned / merged / lower-bound build seconds) for CI trend tracking.
+    // pruned / lower-bound build seconds) for CI trend tracking.
     const std::string metrics =
         sunchase::obs::Registry::global().snapshot().to_json(2);
     std::fprintf(f, "  ],\n  \"metrics\":\n%s\n}\n", metrics.c_str());

@@ -10,8 +10,6 @@
 //     --ev lv|tesla            vehicle model (default lv)
 //     --panel W                panel power C in watts (default 200)
 //     --time-budget F          max_time_factor (default 1.5)
-//     --epsilon F              epsilon-dominance merge factor (default 0
-//                              — exact Pareto search)
 //     --no-prune               disable reverse-Dijkstra lower-bound
 //                              pruning (exact either way; for A/B runs)
 //     --pricing exact|slot     edge pricing mode (default exact; batch
@@ -125,8 +123,7 @@ struct CliOptions {
   std::string ev = "lv";
   double panel_w = 200.0;
   double time_budget = 1.5;
-  double epsilon = 0.0;  ///< epsilon-dominance merge (0: exact search)
-  bool prune = true;     ///< lower-bound budget pruning (--no-prune off)
+  bool prune = true;  ///< lower-bound budget pruning (--no-prune off)
   /// "" resolves after parsing: "slot" for batch (the shared cache is
   /// what makes fleets fast), "exact" everywhere else.
   std::string pricing;
@@ -195,7 +192,7 @@ int usage(const char* argv0) {
                "usage: %s [--rows N] [--cols N] [--seed S] [--from R,C] "
                "[--to R,C]\n"
                "          [--time HH:MM] [--ev lv|tesla] [--panel W]\n"
-               "          [--time-budget F] [--epsilon F] [--no-prune] "
+               "          [--time-budget F] [--no-prune] "
                "[--pricing exact|slot] "
                "[--geojson FILE] "
                "[--graph-out FILE] [--scene-out FILE]\n"
@@ -353,7 +350,6 @@ int run_batch(const CliOptions& opt, core::PricingMode pricing,
   core::BatchPlannerOptions batch_options;
   batch_options.workers = opt.workers;
   batch_options.mlc.max_time_factor = opt.time_budget;
-  batch_options.mlc.epsilon = opt.epsilon;
   batch_options.mlc.prune_with_lower_bounds = opt.prune;
   batch_options.mlc.pricing = pricing;
   // Run the full pipeline (search + clustering + selection) per query:
@@ -421,7 +417,6 @@ int run_serve(const CliOptions& opt, core::PricingMode pricing,
 
   serve::RouteServiceOptions service_options;
   service_options.mlc.max_time_factor = opt.time_budget;
-  service_options.mlc.epsilon = opt.epsilon;
   service_options.mlc.prune_with_lower_bounds = opt.prune;
   service_options.mlc.pricing = pricing;
   service_options.query_log = query_log.get();
@@ -480,7 +475,6 @@ int run_explain(const CliOptions& opt, core::PricingMode pricing) {
 
   core::PlannerOptions planner_options;
   planner_options.mlc.max_time_factor = opt.time_budget;
-  planner_options.mlc.epsilon = opt.epsilon;
   planner_options.mlc.prune_with_lower_bounds = opt.prune;
   planner_options.mlc.pricing = pricing;
   const core::SunChasePlanner planner(world, planner_options);
@@ -642,8 +636,6 @@ int main(int argc, char** argv) {
       opt.panel_w = std::atof(v);
     else if (arg == "--time-budget" && (v = next()))
       opt.time_budget = std::atof(v);
-    else if (arg == "--epsilon" && (v = next()))
-      opt.epsilon = std::atof(v);
     else if (arg == "--no-prune")
       opt.prune = false;
     else if (arg == "--pricing" && (v = next()))
@@ -799,7 +791,6 @@ int main(int argc, char** argv) {
     const std::unique_ptr<obs::QueryLog> query_log = open_query_log(opt);
     core::PlannerOptions planner_options;
     planner_options.mlc.max_time_factor = opt.time_budget;
-  planner_options.mlc.epsilon = opt.epsilon;
   planner_options.mlc.prune_with_lower_bounds = opt.prune;
     planner_options.mlc.pricing = pricing;
     if (query_log) planner_options.query_log = query_log.get();

@@ -80,13 +80,4 @@ namespace detail {
   return lex_compare(a, b) == 0;
 }
 
-/// Relaxed (epsilon-)dominance for approximate Pareto merging: true when
-/// a.c <= (1 + epsilon) * b.c in every criterion, i.e. `a` is at worst a
-/// factor (1+epsilon) of `b` everywhere. With epsilon = 0 this degrades
-/// to "a <= b componentwise" (weak dominance, no strictness clause) —
-/// callers that need exactness must not route through it at epsilon = 0;
-/// the MLC merge only consults it when epsilon > 0.
-[[nodiscard]] bool epsilon_dominates(const Criteria& a, const Criteria& b,
-                                     double epsilon) noexcept;
-
 }  // namespace sunchase::core

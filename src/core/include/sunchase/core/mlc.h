@@ -5,14 +5,11 @@
 // kCriteriaEpsilon of travel time broken by shade, then energy. An
 // expansion never prices the edges back to its parent label's node:
 // such a label costs at least the parent label, which is already
-// recorded at that node. The exact search (epsilon = 0) checks
-// dominance lazily: each node keeps a 2-D (shaded time, energy)
-// staircase of its expanded labels, and because labels pop in
-// lexicographic order over edges of positive travel time, every label
-// that can dominate a popped one has already been expanded at its node
-// (dimensionality reduction, as in NAMOA*dr). The epsilon-merge search
-// keeps per-node bags of non-dominated labels and removes dominated
-// ones lazily from the queue.
+// recorded at that node. The search checks dominance lazily: each node
+// keeps a 2-D (shaded time, energy) staircase of its expanded labels,
+// and because labels pop in lexicographic order over edges of positive
+// travel time, every label that can dominate a popped one has already
+// been expanded at its node (dimensionality reduction, as in NAMOA*dr).
 //
 // Ties: costs equal within kCriteriaEpsilon in every criterion are one
 // Pareto point. Equal-cost labels pop in creation order, so of two
@@ -60,14 +57,6 @@ struct MlcOptions {
   /// bit-identical to the plain filter — only the explored frontier
   /// shrinks. No effect when max_time_factor == 0.
   bool prune_with_lower_bounds = true;
-  /// Epsilon-dominance merge: a new label is dropped when an existing
-  /// bag label is within a factor (1 + epsilon) of it in EVERY
-  /// criterion. 0 (default) runs the exact staircase search (the
-  /// relaxed test is never evaluated); > 0 runs the bag search and
-  /// trades Pareto-set completeness for speed with a per-merge relative
-  /// error of at most epsilon (errors can compound along a route —
-  /// measure with the bench sweep, see EXPERIMENTS.md).
-  double epsilon = 0.0;
 };
 
 /// One non-dominated route with its criteria vector.
@@ -78,20 +67,16 @@ struct ParetoRoute {
 
 /// Search instrumentation (scalability benches report these).
 struct MlcStats {
-  /// Labels queued. The exact search only filters new labels against
-  /// expanded ones, so it queues some an open-bag scan would have
-  /// rejected (about 14% more on a 32x32 city than the bag search).
+  /// Labels queued. New labels are filtered against expanded ones only,
+  /// so some are queued that a later pop at their node discards.
   std::size_t labels_created = 0;
-  /// Exact search: labels rejected by a staircase, when created or when
-  /// popped. Epsilon-merge search: bag labels a newer label dominated.
-  /// Neither counts the edges back to the parent's node, which are
-  /// never priced.
+  /// Labels rejected by a staircase, when created or when popped. Edges
+  /// back to the parent's node are never priced and not counted.
   std::size_t labels_dominated = 0;
-  /// Dominance work, the search's cost driver: staircase probes (one
+  /// Dominance work, the search's cost driver: staircase probes, one
   /// per candidate label that made the time budget and one per popped
-  /// label) in the exact search, bag entries compared in the
-  /// epsilon-merge search. Edges back to the parent's node are skipped
-  /// before pricing and cost no check.
+  /// label. Edges back to the parent's node are skipped before pricing
+  /// and cost no check.
   std::size_t dominance_checks = 0;
   std::size_t queue_pops = 0;
   std::size_t pareto_size = 0;
@@ -100,9 +85,6 @@ struct MlcStats {
   /// the old plain filter too when lower-bound pruning is off). Edges
   /// back to the parent's node are skipped first and not counted.
   std::size_t labels_pruned_bound = 0;
-  /// Labels dropped by the relaxed epsilon-dominance merge (0 unless
-  /// options.epsilon > 0).
-  std::size_t labels_merged_epsilon = 0;
   Seconds shortest_travel_time{0.0};
   /// Wall clock of this search (the query log's mlc phase duration).
   double search_seconds = 0.0;

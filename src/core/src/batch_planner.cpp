@@ -33,7 +33,6 @@ void accumulate(MlcStats& into, const MlcStats& stats) {
   into.queue_pops += stats.queue_pops;
   into.pareto_size += stats.pareto_size;
   into.labels_pruned_bound += stats.labels_pruned_bound;
-  into.labels_merged_epsilon += stats.labels_merged_epsilon;
   into.shortest_travel_time += stats.shortest_travel_time;
   into.search_seconds += stats.search_seconds;
   into.lower_bound_seconds += stats.lower_bound_seconds;
@@ -186,7 +185,6 @@ BatchResult BatchPlanner::plan_all(
           record.queue_pops = stats.queue_pops;
           record.pareto_size = stats.pareto_size;
           record.labels_pruned_bound = stats.labels_pruned_bound;
-          record.labels_merged_epsilon = stats.labels_merged_epsilon;
           record.lower_bound_seconds = stats.lower_bound_seconds;
           if (outcome.selection.has_value()) {
             const SelectionResult& sel = *outcome.selection;

@@ -33,7 +33,6 @@ struct MlcMetrics {
   obs::Counter& queries;
   obs::Counter& label_cap_hits;
   obs::Counter& labels_pruned_bound;
-  obs::Counter& labels_merged_epsilon;
   obs::Histogram& lower_bound_latency;
   obs::Histogram& latency;
 
@@ -46,7 +45,6 @@ struct MlcMetrics {
         obs::Registry::global().counter("mlc.queries"),
         obs::Registry::global().counter("mlc.label_cap_hits"),
         obs::Registry::global().counter("mlc.labels_pruned_bound"),
-        obs::Registry::global().counter("mlc.labels_merged_epsilon"),
         obs::Registry::global().histogram("mlc.lower_bound_seconds"),
         obs::Registry::global().histogram("mlc.query_latency_seconds")};
     return metrics;
@@ -60,7 +58,6 @@ struct Label {
   roadnet::NodeId node = roadnet::kInvalidNode;
   roadnet::EdgeId via_edge = roadnet::kInvalidEdge;
   std::int32_t parent = -1;
-  bool alive = true;  ///< false once dominated (lazy queue deletion)
 };
 
 /// Queue order among labels whose travel times tie within
@@ -90,8 +87,7 @@ struct PopsFirst {
 struct Workspace {
   struct Node {
     std::uint32_t stamp = 0;
-    detail::Staircase stairs;        ///< exact search (epsilon == 0)
-    std::vector<std::uint32_t> bag;  ///< epsilon-merge search
+    detail::Staircase stairs;
   };
 
   std::vector<Label> arena;
@@ -121,7 +117,6 @@ struct Workspace {
     if (n.stamp != generation) {
       n.stamp = generation;
       n.stairs.clear();
-      n.bag.clear();
     }
     return n;
   }
@@ -161,7 +156,7 @@ class WorkspaceLease {
   Workspace& ws_;
 };
 
-/// One query's inputs and buffers, shared by both search strategies.
+/// One query's inputs and buffers.
 struct Search {
   const roadnet::RoadGraph& graph;
   const solar::SolarInputMap& map;
@@ -179,8 +174,8 @@ struct Search {
   std::size_t pricings = 0;
 
   /// Creates a label and queues it; RoutingError past the label budget.
-  std::uint32_t push(roadnet::NodeId v, const Criteria& cost,
-                     roadnet::EdgeId via, std::int32_t parent) {
+  void push(roadnet::NodeId v, const Criteria& cost, roadnet::EdgeId via,
+            std::int32_t parent) {
     if (ws.arena.size() >= options.max_labels) {
       MlcMetrics::get().label_cap_hits.add();
       SUNCHASE_LOG(Info) << "mlc: label budget of " << options.max_labels
@@ -191,10 +186,9 @@ struct Search {
                          std::to_string(options.max_labels) + " exhausted");
     }
     const auto idx = static_cast<std::uint32_t>(ws.arena.size());
-    ws.arena.push_back(Label{cost, v, via, parent, true});
+    ws.arena.push_back(Label{cost, v, via, parent});
     ++stats.labels_created;
     ws.queue.push(cost.travel_time.value(), idx);
-    return idx;
   }
 
   /// The next label in lexicographic order (up to kCriteriaEpsilon).
@@ -204,14 +198,13 @@ struct Search {
   }
 
   /// Prices every out-edge of `current` that does not lead back to its
-  /// parent's node, and hands each extension that can still make the
-  /// time budget to `insert(to, cost, edge, parent)`. Such a U-turn
-  /// label costs at least the parent label in every criterion (edge
-  /// costs are non-negative), and the parent label, or one that
-  /// dominates it, is already in its node's staircase or bag, so the
-  /// U-turn could only be rejected there.
-  template <typename Insert>
-  void expand(const Label& current, std::uint32_t index, Insert&& insert) {
+  /// parent's node, and queues each extension that can still make the
+  /// time budget and that its node's staircase does not cover. Such a
+  /// U-turn label costs at least the parent label in every criterion
+  /// (edge costs are non-negative), and the parent label, or one that
+  /// dominates it, is already in its node's staircase, so the U-turn
+  /// could only be rejected there.
+  void expand(const Label& current, std::uint32_t index) {
     const TimeOfDay now =
         options.time_dependent
             ? departure.advanced_by(current.cost.travel_time)
@@ -252,16 +245,20 @@ struct Search {
           continue;  // cannot make the acceptable arrival time
         }
       }
-      insert(to, next, e, static_cast<std::int32_t>(index));
+      ++stats.dominance_checks;
+      if (detail::covers(ws.at(to).stairs, next))
+        ++stats.labels_dominated;
+      else
+        push(to, next, e, static_cast<std::int32_t>(index));
     }
   }
 };
 
-/// Exact search (epsilon == 0): lazy dominance against the per-node
-/// staircases of expanded labels. A new label is dropped when its
-/// node's staircase covers it; a popped one is discarded when covered,
-/// else it joins the staircase and is expanded. Returns the destination
-/// labels of the Pareto set.
+/// The exact search: lazy dominance against the per-node staircases of
+/// expanded labels. A new label is dropped when its node's staircase
+/// covers it; a popped one is discarded when covered, else it joins the
+/// staircase and is expanded. Returns the destination labels of the
+/// Pareto set.
 std::vector<std::uint32_t> staircase_search(Search& s, roadnet::NodeId origin,
                                             roadnet::NodeId destination) {
   auto& arena = s.ws.arena;
@@ -284,15 +281,7 @@ std::vector<std::uint32_t> staircase_search(Search& s, roadnet::NodeId origin,
       arrivals.push_back(index);
       continue;
     }
-    s.expand(current, index,
-             [&](roadnet::NodeId to, const Criteria& next, roadnet::EdgeId e,
-                 std::int32_t parent) {
-               ++stats.dominance_checks;
-               if (detail::covers(s.ws.at(to).stairs, next))
-                 ++stats.labels_dominated;
-               else
-                 s.push(to, next, e, parent);
-             });
+    s.expand(current, index);
   }
 
   // The queue pops travel times within eps of each other in (shade,
@@ -320,57 +309,6 @@ std::vector<std::uint32_t> staircase_search(Search& s, roadnet::NodeId origin,
   return frontier;
 }
 
-/// Epsilon-merge search (epsilon > 0): eager per-node bags of open and
-/// expanded labels, scanned on every insert. Kept apart from the
-/// staircase because (1 + epsilon) merges are not lexicographically
-/// monotone: a lazy variant returns a different approximate frontier.
-std::vector<std::uint32_t> bag_search(Search& s, roadnet::NodeId origin,
-                                      roadnet::NodeId destination) {
-  auto& arena = s.ws.arena;
-  auto& stats = s.stats;
-  const double epsilon = s.options.epsilon;
-
-  // Initialization: L(origin) = (origin, (0,0,0), NULL).
-  s.push(origin, Criteria{}, roadnet::kInvalidEdge, -1);
-  s.ws.at(origin).bag.push_back(0);
-
-  // Inserts `cost` at node v if non-dominated; prunes the bag.
-  auto try_insert = [&](roadnet::NodeId v, const Criteria& cost,
-                        roadnet::EdgeId via, std::int32_t parent) {
-    auto& bag = s.ws.at(v).bag;
-    for (const std::uint32_t idx : bag) {
-      ++stats.dominance_checks;
-      const Criteria& existing = arena[idx].cost;
-      if (equivalent(existing, cost) || dominates(existing, cost)) return;
-      if (epsilon_dominates(existing, cost, epsilon)) {
-        ++stats.labels_merged_epsilon;
-        return;
-      }
-    }
-    // Remove bag labels the new cost dominates (step 2c of Algorithm 1;
-    // queue entries die lazily via the alive flag).
-    std::erase_if(bag, [&](std::uint32_t idx) {
-      ++stats.dominance_checks;
-      if (dominates(cost, arena[idx].cost)) {
-        arena[idx].alive = false;
-        ++stats.labels_dominated;
-        return true;
-      }
-      return false;
-    });
-    bag.push_back(s.push(v, cost, via, parent));
-  };
-
-  while (!s.ws.queue.empty()) {
-    const std::uint32_t index = s.pop();
-    const Label current = arena[index];  // copy: arena may grow
-    if (!current.alive) continue;  // lazily deleted
-    if (current.node == destination) continue;
-    s.expand(current, index, try_insert);
-  }
-  return s.ws.at(destination).bag;
-}
-
 }  // namespace
 
 MultiLabelCorrecting::MultiLabelCorrecting(WorldPtr world, MlcOptions options)
@@ -390,9 +328,6 @@ MultiLabelCorrecting::MultiLabelCorrecting(WorldPtr world, MlcOptions options)
     throw InvalidArgument(
         "MultiLabelCorrecting: time factor below 1 excludes the shortest "
         "path itself");
-  if (!std::isfinite(options.epsilon) || options.epsilon < 0.0)
-    throw InvalidArgument(
-        "MultiLabelCorrecting: epsilon must be finite and >= 0");
 }
 
 MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
@@ -448,8 +383,7 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
   Search s(graph, map, vehicle, cache_, options_, departure, time_bound,
            lower_bounds, ws, result.stats);
   const std::vector<std::uint32_t> pareto =
-      options_.epsilon > 0.0 ? bag_search(s, origin, destination)
-                             : staircase_search(s, origin, destination);
+      staircase_search(s, origin, destination);
 
   // Rebuild the Pareto set's paths parent-by-parent.
   const std::vector<Label>& arena = s.ws.arena;
@@ -484,7 +418,6 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
   metrics.queue_pops.add(result.stats.queue_pops);
   metrics.queries.add();
   metrics.labels_pruned_bound.add(result.stats.labels_pruned_bound);
-  metrics.labels_merged_epsilon.add(result.stats.labels_merged_epsilon);
   map.count_evaluations(s.pricings);
   if (result.stats.lower_bound_seconds > 0.0)
     metrics.lower_bound_latency.observe(result.stats.lower_bound_seconds);

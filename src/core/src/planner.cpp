@@ -86,7 +86,6 @@ PlanResult SunChasePlanner::plan(roadnet::NodeId origin,
       record.queue_pops = search.stats.queue_pops;
       record.pareto_size = search.stats.pareto_size;
       record.labels_pruned_bound = search.stats.labels_pruned_bound;
-      record.labels_merged_epsilon = search.stats.labels_merged_epsilon;
       record.lower_bound_seconds = search.stats.lower_bound_seconds;
       record.candidate_count = plan.candidates.size();
       const RouteMetrics& best = plan.recommended().metrics;

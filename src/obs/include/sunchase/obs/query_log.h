@@ -58,12 +58,11 @@ struct QueryRecord {
   // Search effort (MlcStats of the query).
   std::uint64_t labels_created = 0;
   std::uint64_t labels_dominated = 0;
-  std::uint64_t dominance_checks = 0;  ///< staircase probes / bag compares
+  std::uint64_t dominance_checks = 0;  ///< staircase probes
   std::uint64_t queue_pops = 0;
   std::uint64_t pareto_size = 0;
-  std::uint64_t labels_pruned_bound = 0;   ///< time-budget prune rejections
-  std::uint64_t labels_merged_epsilon = 0; ///< relaxed-dominance merges
-  double lower_bound_seconds = 0.0;        ///< reverse-Dijkstra build time
+  std::uint64_t labels_pruned_bound = 0;  ///< time-budget prune rejections
+  double lower_bound_seconds = 0.0;       ///< reverse-Dijkstra build time
 
   // Chosen-route summary (the recommended candidate; zero on error).
   std::uint64_t candidate_count = 0;

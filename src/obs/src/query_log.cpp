@@ -68,7 +68,6 @@ std::string QueryRecord::to_json() const {
       << ",\"dominance_checks\":" << dominance_checks
       << ",\"queue_pops\":" << queue_pops << ",\"pareto_size\":"
       << pareto_size << ",\"labels_pruned_bound\":" << labels_pruned_bound
-      << ",\"labels_merged_epsilon\":" << labels_merged_epsilon
       << ",\"lower_bound_seconds\":" << format_double(lower_bound_seconds);
   if (status == "ok")
     out << ",\"candidates\":" << candidate_count << ",\"travel_time_s\":"

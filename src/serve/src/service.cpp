@@ -305,11 +305,6 @@ core::MlcOptions RouteService::mlc_options_from(const JsonValue& body) {
           "time_budget must be 0 (unbounded) or >= 1 (a multiple of the "
           "shortest travel time)");
   }
-  if (const JsonValue* epsilon = body.find("epsilon")) {
-    mlc.epsilon = epsilon->as_number();
-    if (!std::isfinite(mlc.epsilon) || mlc.epsilon < 0.0)
-      throw InvalidArgument("epsilon must be a finite number >= 0");
-  }
   if (const JsonValue* prune = body.find("prune_with_lower_bounds"))
     mlc.prune_with_lower_bounds = prune->as_bool();
   if (const JsonValue* vehicle = body.find("vehicle")) {
@@ -386,8 +381,6 @@ HttpResponse RouteService::handle_plan(const HttpRequest& request) {
   out += ",\"pareto_size\":" + std::to_string(plan.search_stats.pareto_size);
   out += ",\"labels_pruned_bound\":" +
          std::to_string(plan.search_stats.labels_pruned_bound);
-  out += ",\"labels_merged_epsilon\":" +
-         std::to_string(plan.search_stats.labels_merged_epsilon);
   out += ",\"lower_bound_seconds\":" +
          num(plan.search_stats.lower_bound_seconds);
   out += ",\"search_seconds\":" + num(plan.search_stats.search_seconds);

@@ -51,8 +51,8 @@ TEST_F(BatteryPlanningTest, IntermediateBudgetDropsOnlyHungryCandidates) {
   const TimeOfDay dep = TimeOfDay::hms(10, 0);
   const auto free_plan =
       free_planner.plan(city_.node_at(1, 1), city_.node_at(8, 8), dep);
-  if (free_plan.candidates.size() < 2)
-    GTEST_SKIP() << "need at least one better-solar candidate";
+  ASSERT_GE(free_plan.candidates.size(), 2u)
+      << "need at least one better-solar candidate";
   // Budget just below the hungriest better-solar candidate's drain:
   // that candidate must vanish; the shortest-time route stays (only
   // flagged when infeasible).

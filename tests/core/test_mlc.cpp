@@ -603,8 +603,8 @@ void expect_identical(const MlcResult& a, const MlcResult& b) {
 
 TEST(Mlc, ReusedSearchBuffersGiveIdenticalResults) {
   // Searches on one thread share buffers. A query repeated after larger
-  // queries on another world — exact, epsilon-merge, and one aborted by
-  // its label budget — must match itself and a run on a fresh thread.
+  // queries on another world — exact, and one aborted by its label
+  // budget — must match itself and a run on a fresh thread.
   roadnet::GridCityOptions small_opt;
   small_opt.rows = 6;
   small_opt.cols = 6;
@@ -628,11 +628,6 @@ TEST(Mlc, ReusedSearchBuffersGiveIdenticalResults) {
                 .search(lo, ld, dep)
                 .stats.labels_created,
             first.stats.labels_created);
-  MlcOptions eps_opt = exact_opt;
-  eps_opt.epsilon = 0.05;
-  EXPECT_FALSE(MultiLabelCorrecting(large_env.world, eps_opt)
-                   .search(lo, ld, dep)
-                   .routes.empty());
   MlcOptions capped = exact_opt;
   capped.max_labels = 40;
   EXPECT_THROW((void)MultiLabelCorrecting(large_env.world, capped)

@@ -1,11 +1,8 @@
-// Lower-bound budget pruning and the epsilon-dominance merge: pruning
-// with epsilon = 0 must be invisible in the results — bit-identical
-// Pareto sets (costs AND paths) against the unpruned search on the
-// paper world and a generated urban grid, at rush hour, under both
-// pricing modes, and with the clock saturated at the end of the day —
-// while measurably shrinking the explored frontier. Epsilon > 0 is the
-// opposite contract: allowed to drop Pareto points, never allowed to
-// return a broken or over-budget route.
+// Lower-bound budget pruning must be invisible in the results —
+// bit-identical Pareto sets (costs AND paths) against the unpruned
+// search on the paper world and a generated urban grid, at rush hour,
+// under both pricing modes, and with the clock saturated at the end of
+// the day — while measurably shrinking the explored frontier.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -106,19 +103,6 @@ TEST(MlcPruning, CtorRejectsNonFiniteTimeFactor) {
   }
 }
 
-TEST(MlcPruning, CtorRejectsNonFiniteOrNegativeEpsilon) {
-  test::SquareGraph sq;
-  test::RoutingEnv env(sq.graph);
-  for (const double bad :
-       {std::numeric_limits<double>::quiet_NaN(),
-        std::numeric_limits<double>::infinity(), -0.25}) {
-    MlcOptions opt;
-    opt.epsilon = bad;
-    EXPECT_THROW(MultiLabelCorrecting(env.world, opt), InvalidArgument)
-        << "epsilon = " << bad;
-  }
-}
-
 TEST(MlcPruning, BitIdenticalOnUrbanGridAtRushHour) {
   const roadnet::GridCity city{roadnet::GridCityOptions{}};
   const core::WorldPtr world = urban_world(city.graph());
@@ -200,62 +184,6 @@ TEST(MlcPruning, DisabledBudgetSkipsTheLowerBoundBuild) {
       city.node_at(1, 1), city.node_at(4, 4), TimeOfDay::hms(10, 0));
   EXPECT_EQ(result.stats.lower_bound_seconds, 0.0);
   EXPECT_EQ(result.stats.labels_pruned_bound, 0u);
-}
-
-TEST(MlcEpsilon, MergeShrinksTheParetoSetAndCountsMerges) {
-  const roadnet::GridCity city{roadnet::GridCityOptions{}};
-  const core::WorldPtr world = urban_world(city.graph());
-  MlcOptions exact_opt;
-  exact_opt.max_time_factor = 1.5;
-  MlcOptions approx_opt = exact_opt;
-  approx_opt.epsilon = 0.05;
-  const roadnet::NodeId o = city.node_at(0, 0);
-  const roadnet::NodeId d = city.node_at(9, 9);
-  const TimeOfDay dep = TimeOfDay::hms(10, 0);
-  const MlcResult exact = MultiLabelCorrecting(world, exact_opt).search(o, d,
-                                                                        dep);
-  const MlcResult approx =
-      MultiLabelCorrecting(world, approx_opt).search(o, d, dep);
-  EXPECT_EQ(exact.stats.labels_merged_epsilon, 0u);
-  EXPECT_GT(approx.stats.labels_merged_epsilon, 0u);
-  EXPECT_LE(approx.routes.size(), exact.routes.size());
-  EXPECT_LE(approx.stats.labels_created, exact.stats.labels_created);
-  // Approximate, not broken: every returned route still connects the
-  // query and respects the time budget.
-  ASSERT_FALSE(approx.routes.empty());
-  const double bound =
-      approx.stats.shortest_travel_time.value() * approx_opt.max_time_factor;
-  for (const auto& route : approx.routes) {
-    EXPECT_TRUE(is_connected(route.path, world->graph()));
-    EXPECT_EQ(path_origin(route.path, world->graph()), o);
-    EXPECT_EQ(path_destination(route.path, world->graph()), d);
-    EXPECT_LE(route.cost.travel_time.value(), bound + 1e-6);
-  }
-}
-
-TEST(MlcEpsilon, ZeroEpsilonIsTheExactSearch) {
-  // epsilon = 0 must take the exact code path: identical results AND
-  // identical effort counters vs an MlcOptions that never mentions
-  // epsilon.
-  const roadnet::GridCity city{roadnet::GridCityOptions{}};
-  test::RoutingEnv env(city.graph());
-  MlcOptions a;
-  a.max_time_factor = 1.5;
-  MlcOptions b = a;
-  b.epsilon = 0.0;
-  const roadnet::NodeId o = city.node_at(2, 2);
-  const roadnet::NodeId d = city.node_at(7, 7);
-  const TimeOfDay dep = TimeOfDay::hms(9, 14);
-  const MlcResult ra = MultiLabelCorrecting(env.world, a).search(o, d, dep);
-  const MlcResult rb = MultiLabelCorrecting(env.world, b).search(o, d, dep);
-  ASSERT_EQ(ra.routes.size(), rb.routes.size());
-  for (std::size_t r = 0; r < ra.routes.size(); ++r) {
-    EXPECT_EQ(ra.routes[r].cost, rb.routes[r].cost);
-    EXPECT_EQ(ra.routes[r].path.edges, rb.routes[r].path.edges);
-  }
-  EXPECT_EQ(ra.stats.labels_created, rb.stats.labels_created);
-  EXPECT_EQ(ra.stats.queue_pops, rb.stats.queue_pops);
-  EXPECT_EQ(rb.stats.labels_merged_epsilon, 0u);
 }
 
 }  // namespace

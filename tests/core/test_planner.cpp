@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -166,24 +167,59 @@ TEST_F(PlannerTest, VehicleAccessor) {
   EXPECT_EQ(planner.vehicle().name(), "Lv prototype");
 }
 
-// Property sweep over departure times: plans are always internally
-// consistent (first = fastest, Eq. 5 positive for the rest).
+// Property sweep over departure hours, each on several seeded cities
+// and trips: plans are always internally consistent (first = fastest,
+// Eq. 5 positive for the rest), and the shortest-time candidate Eq. 5
+// measures against is the true shortest path — its travel time is the
+// Dijkstra baseline's. Default options: Exact pricing, time-dependent
+// (SlotQuantized prices at the slot start while the baseline runs on
+// the exact clock, so the equality holds under Exact only).
 class PlannerDayProperty : public ::testing::TestWithParam<int> {};
 
+struct DayTrip {
+  std::uint64_t seed;  ///< GridCityOptions::seed
+  int from_row, from_col, to_row, to_col;
+  int minute;         ///< departure minute past the hour
+  bool crosses_slot;  ///< the shortest route runs into the next slot
+};
+
 TEST_P(PlannerDayProperty, InvariantsAtEveryHour) {
-  const roadnet::GridCity city{roadnet::GridCityOptions{}};
-  test::RoutingEnv env(city.graph());
-  const SunChasePlanner planner(env.world);
-  const TimeOfDay dep = TimeOfDay::hms(GetParam(), 0);
-  const PlanResult plan =
-      planner.plan(city.node_at(2, 2), city.node_at(7, 7), dep);
-  ASSERT_FALSE(plan.candidates.empty());
-  const auto& base = plan.candidates.front();
-  EXPECT_TRUE(base.is_shortest_time);
-  for (std::size_t i = 1; i < plan.candidates.size(); ++i) {
-    EXPECT_GT(plan.candidates[i].extra_energy.value(), 0.0);
-    EXPECT_GE(plan.candidates[i].metrics.travel_time.value(),
-              base.metrics.travel_time.value() - 1e-6);
+  constexpr DayTrip kTrips[] = {{7, 2, 2, 7, 7, 0, false},
+                                {11, 0, 0, 11, 11, 10, true},
+                                {23, 9, 1, 1, 10, 7, false},
+                                {42, 11, 0, 0, 11, 40, true}};
+  for (const DayTrip& trip : kTrips) {
+    SCOPED_TRACE(::testing::Message() << "seed " << trip.seed << " ("
+                                      << trip.from_row << ',' << trip.from_col
+                                      << ")->(" << trip.to_row << ','
+                                      << trip.to_col << ") at minute "
+                                      << trip.minute);
+    roadnet::GridCityOptions city_opt;
+    city_opt.seed = trip.seed;
+    const roadnet::GridCity city(city_opt);
+    test::RoutingEnv env(city.graph());
+    const SunChasePlanner planner(env.world);
+    ASSERT_EQ(planner.options().mlc.pricing, PricingMode::Exact);
+    ASSERT_TRUE(planner.options().mlc.time_dependent);
+    const TimeOfDay dep = TimeOfDay::hms(GetParam(), trip.minute);
+    const PlanResult plan =
+        planner.plan(city.node_at(trip.from_row, trip.from_col),
+                     city.node_at(trip.to_row, trip.to_col), dep);
+    ASSERT_FALSE(plan.candidates.empty());
+    const auto& base = plan.candidates.front();
+    EXPECT_TRUE(base.is_shortest_time);
+    const Seconds shortest = plan.search_stats.shortest_travel_time;
+    EXPECT_NEAR(base.route.cost.travel_time.value(), shortest.value(),
+                1e-9 * shortest.value());
+    if (trip.crosses_slot) {
+      ASSERT_NE(dep.slot_index(), dep.advanced_by(shortest).slot_index())
+          << "the trip no longer crosses a slot boundary";
+    }
+    for (std::size_t i = 1; i < plan.candidates.size(); ++i) {
+      EXPECT_GT(plan.candidates[i].extra_energy.value(), 0.0);
+      EXPECT_GE(plan.candidates[i].metrics.travel_time.value(),
+                base.metrics.travel_time.value() - 1e-6);
+    }
   }
 }
 

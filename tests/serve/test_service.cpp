@@ -178,38 +178,16 @@ TEST_F(ServeServiceTest, PlanRejectsNonFiniteAndFractionalTimeBudgets) {
   EXPECT_EQ(nan_body.status, 400) << nan_body.body;
 }
 
-TEST_F(ServeServiceTest, PlanAcceptsPruningAndEpsilonOverrides) {
+TEST_F(ServeServiceTest, PlanAcceptsPruningOverride) {
   const std::string body =
       "{\"origin\":0,\"destination\":87,\"departure\":\"08:30\","
-      "\"time_budget\":1.5,\"epsilon\":0.05,"
-      "\"prune_with_lower_bounds\":false}";
+      "\"time_budget\":1.5,\"prune_with_lower_bounds\":false}";
   const JsonValue response = call(make_request("POST", "/plan", body), 200);
   const JsonValue* stats = response.find("stats");
   ASSERT_NE(stats, nullptr);
-  // Pruning off: no lower-bound build; the relaxed merge may or may
-  // not fire but its counter must be reported.
+  // Pruning off: no lower-bound build.
   EXPECT_DOUBLE_EQ(stats->number_or("lower_bound_seconds", -1.0), 0.0);
-  EXPECT_GE(stats->number_or("labels_merged_epsilon", -1.0), 0.0);
   EXPECT_GE(stats->number_or("labels_pruned_bound", -1.0), 0.0);
-}
-
-TEST_F(ServeServiceTest, PlanRejectsBadEpsilon) {
-  const char* bad[] = {
-      "{\"origin\":0,\"destination\":3,\"departure\":\"08:00\","
-      "\"epsilon\":-1}",
-      "{\"origin\":0,\"destination\":3,\"departure\":\"08:00\","
-      "\"epsilon\":1e999}",
-  };
-  for (const char* body : bad) {
-    const HttpResponse response =
-        service_.handle(make_request("POST", "/plan", body));
-    EXPECT_EQ(response.status, 400) << body;
-    const JsonValue parsed = JsonValue::parse(response.body);
-    const JsonValue* error = parsed.find("error");
-    ASSERT_NE(error, nullptr) << body;
-    EXPECT_NE(error->as_string().find("epsilon"), std::string::npos)
-        << error->as_string();
-  }
 }
 
 TEST_F(ServeServiceTest, UnplannableQueryIs422NotA400) {

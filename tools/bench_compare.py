@@ -13,12 +13,15 @@ Understands three report schemas, detected from the report itself:
   samples keyed by concurrency; gates on peak queries_per_second AND on
   the best p99_ms latency across concurrency steps.
 * perf_mlc_scaling (BENCH_mlc.json, ``"bench": "perf_mlc_scaling"``):
-  samples keyed by (n, mode, epsilon); gates on peak
-  queries_per_second AND on the current report's own pruned-vs-unpruned
-  rows at every world size (the largest included) — the pruned search
-  must create strictly fewer labels and pop fewer queue entries than
-  the unpruned one, so the lower-bound pruning can never silently stop
-  pruning.
+  samples keyed by (n, mode); gates on peak queries_per_second, on
+  exact search counters — labels_created, queue_pops and pareto_size
+  must equal the baseline's for every (n, mode) in both reports (the
+  search is deterministic, so these do not depend on the machine and
+  any change is a change in behaviour) — AND on the current report's
+  own pruned-vs-unpruned rows at every world size (the largest
+  included): the pruned search must create strictly fewer labels and
+  pop fewer queue entries than the unpruned one, so the lower-bound
+  pruning can never silently stop pruning.
 * perf_coldstart (BENCH_coldstart.json, ``"bench": "perf_coldstart"``):
   scalar build/save/load timings; gates on the current run's own
   speedup ratio — mmap-loading a snapshot must be at least 5x faster
@@ -28,8 +31,9 @@ Understands three report schemas, detected from the report itself:
 
 Exits 1 when the current peak falls below ``baseline * (1 - tolerance)``
 or (serve reports) the best p99 rises above
-``baseline * (1 + latency_tolerance)`` or (mlc reports) pruning stopped
-reducing search effort.
+``baseline * (1 + latency_tolerance)`` or (mlc reports) a search
+counter differs from the baseline or pruning stopped reducing search
+effort.
 
 The tolerances are deliberately wide (default 25% throughput, 50%
 latency): the committed baseline was recorded on a small dev container
@@ -151,6 +155,9 @@ def best_p99(report, label):
 
 
 MIN_COLDSTART_SPEEDUP = 5.0
+
+# perf_mlc_scaling counters that must match the baseline exactly.
+MLC_EXACT_FIELDS = ("labels_created", "queue_pops", "pareto_size")
 
 
 def compare_coldstart(baseline, current, args):
@@ -286,10 +293,10 @@ def main():
                 fmt(sample.get("cpu_seconds"), "{:.3f}"),
             ])
     elif schema == "mlc":
-        # Samples are keyed by (n, mode, epsilon): one pruned and one
-        # unpruned row per city size at epsilon 0.
+        # Samples are keyed by (n, mode): one pruned and one unpruned
+        # row per city size.
         def key(sample):
-            return (sample["n"], sample["mode"], sample.get("epsilon", 0.0))
+            return (sample["n"], sample["mode"])
 
         headers = ["n", "mode", "base q/s", "cur q/s", "Δq/s",
                    "base labels", "cur labels", "Δlabels",
@@ -396,6 +403,26 @@ def main():
             failed = True
 
     if schema == "mlc":
+        # Exact counters against the baseline: the search is
+        # deterministic, so a row present in both reports must match
+        # field for field whatever machine ran it.
+        for sample in current.get("samples", []):
+            base = base_by_key.get(key(sample))
+            if base is None:
+                continue
+            for field in MLC_EXACT_FIELDS:
+                if sample.get(field) != base.get(field):
+                    message = (
+                        f"FAIL: {field} at n={sample['n']} "
+                        f"{sample['mode']} is {sample.get(field)}, baseline "
+                        f"{base.get(field)} — the search no longer does "
+                        "the same work; refresh the baseline with --update "
+                        "only for an intended change"
+                    )
+                    print(message, file=sys.stderr)
+                    summary_lines.append(f"**{message}**")
+                    failed = True
+
         # Self-gate on the current run (no tolerance — this is a strict
         # invariant, not a machine-speed comparison): at every world
         # size, the pruned search must do strictly less work than the
@@ -403,13 +430,12 @@ def main():
         # largest world must carry both rows.
         by_n = {}
         for s in current.get("samples", []):
-            if s.get("epsilon", 0.0) == 0.0:
-                by_n.setdefault(s["n"], {})[s["mode"]] = s
+            by_n.setdefault(s["n"], {})[s["mode"]] = s
         largest = max(s["n"] for s in current.get("samples", []))
         if set(by_n.get(largest, {})) < {"pruned", "unpruned"}:
             raise SystemExit(
                 "error: mlc report is missing the pruned or unpruned "
-                f"epsilon=0 sample at its largest world (n={largest})"
+                f"sample at its largest world (n={largest})"
             )
         for n, rows in sorted(by_n.items()):
             pruned, unpruned = rows.get("pruned"), rows.get("unpruned")
