@@ -1,12 +1,13 @@
 // MLC search-space pruning scaling: corner-to-corner Pareto searches on
 // generated n x n cities (hashed shading, urban traffic) up to n = 32,
-// where the exact search's cost grows fastest, run with the
-// reverse-Dijkstra lower-bound pruning on vs off. The paper notes the
-// Pareto search is the expensive step its route merging exists to
-// tame; this bench tracks what the budget pruning actually saves
-// (labels created, queue pops, dominance checks, latency). Writes
-// BENCH_mlc.json for CI trend tracking (tools/bench_compare.py gates
-// on it).
+// where the exact search's cost grows fastest, run with a 1.1x time
+// budget (pruned against reverse-Dijkstra lower bounds) and with none.
+// The paper notes the Pareto search is the expensive step its route
+// merging exists to tame; this bench tracks what the budget pruning
+// actually saves (labels created, queue pops, dominance checks,
+// latency). Writes BENCH_mlc.json for CI trend tracking
+// (tools/bench_compare.py gates on it).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -64,12 +65,25 @@ ScalingWorld& world_of(int n) {
   return *slot;
 }
 
+/// The budgeted rows' time factor; the "unbounded" rows run with none.
+constexpr double kTimeBudget = 1.1;
+
+/// One corner-to-corner search of the n x n world at 10:00.
+core::MlcResult corner_search(int n, double max_time_factor) {
+  ScalingWorld& w = world_of(n);
+  core::MlcOptions opt;
+  opt.max_time_factor = max_time_factor;
+  return core::MultiLabelCorrecting(w.world, opt)
+      .search(w.city.node_at(0, 0), w.city.node_at(n - 1, n - 1),
+              TimeOfDay::hms(10, 0));
+}
+
 struct Sample {
   int n = 0;
-  const char* mode = "pruned";  ///< "pruned" or "unpruned"
+  const char* mode = "pruned";  ///< "pruned" or "unbounded"
   double queries_per_second = 0.0;
   double search_seconds = 0.0;      ///< mean per query
-  double lower_bound_seconds = 0.0; ///< mean per query (0 unpruned)
+  double lower_bound_seconds = 0.0; ///< mean per query (0 unbounded)
   std::size_t labels_created = 0;
   std::size_t dominance_checks = 0;
   std::size_t labels_pruned_bound = 0;
@@ -80,20 +94,13 @@ struct Sample {
 /// Best-of-`repeats` search at one configuration; stats come from the
 /// fastest repeat (all repeats produce identical stats — the search is
 /// deterministic — so "best" only picks the least-noisy timing).
-Sample run_config(int n, bool prune, int repeats) {
-  ScalingWorld& w = world_of(n);
-  core::MlcOptions opt;
-  opt.max_time_factor = 1.1;
-  opt.prune_with_lower_bounds = prune;
-  const core::MultiLabelCorrecting solver(w.world, opt);
+Sample run_config(int n, bool budgeted, int repeats) {
   Sample s;
   s.n = n;
-  s.mode = prune ? "pruned" : "unpruned";
+  s.mode = budgeted ? "pruned" : "unbounded";
   double best = -1.0;
   for (int r = 0; r < repeats; ++r) {
-    const auto result = solver.search(w.city.node_at(0, 0),
-                                      w.city.node_at(n - 1, n - 1),
-                                      TimeOfDay::hms(10, 0));
+    const auto result = corner_search(n, budgeted ? kTimeBudget : 0.0);
     if (best < 0.0 || result.stats.search_seconds < best) {
       best = result.stats.search_seconds;
       s.search_seconds = result.stats.search_seconds;
@@ -109,20 +116,21 @@ Sample run_config(int n, bool prune, int repeats) {
   return s;
 }
 
-/// Full Pareto frontier (cost vectors only) at one configuration.
-std::vector<core::Criteria> frontier(int n, bool prune) {
-  ScalingWorld& w = world_of(n);
-  core::MlcOptions opt;
-  opt.max_time_factor = 1.1;
-  opt.prune_with_lower_bounds = prune;
-  const core::MultiLabelCorrecting solver(w.world, opt);
-  const auto result = solver.search(w.city.node_at(0, 0),
-                                    w.city.node_at(n - 1, n - 1),
-                                    TimeOfDay::hms(10, 0));
-  std::vector<core::Criteria> costs;
-  costs.reserve(result.routes.size());
-  for (const auto& route : result.routes) costs.push_back(route.cost);
-  return costs;
+/// Whether the budgeted search's frontier at n is the unbounded one's
+/// routes within the budget, costs and paths alike.
+bool budgeted_frontier_is_filtered_unbounded(int n) {
+  const core::MlcResult budgeted = corner_search(n, kTimeBudget);
+  core::MlcResult unbounded = corner_search(n, 0.0);
+  const double bound =
+      budgeted.stats.shortest_travel_time.value() * kTimeBudget;
+  std::erase_if(unbounded.routes, [&](const core::ParetoRoute& r) {
+    return r.cost.travel_time.value() > bound;
+  });
+  return std::equal(budgeted.routes.begin(), budgeted.routes.end(),
+                    unbounded.routes.begin(), unbounded.routes.end(),
+                    [](const core::ParetoRoute& a, const core::ParetoRoute& b) {
+                      return a.cost == b.cost && a.path.edges == b.path.edges;
+                    });
 }
 
 }  // namespace
@@ -136,13 +144,13 @@ int main(int argc, char** argv) {
   const int largest = sizes.back();
 
   std::vector<Sample> samples;
-  std::printf("corner-to-corner searches, time budget 1.1x, 10:00, "
-              "best of %d\n\n", repeats);
+  std::printf("corner-to-corner searches, time budget %.1fx or none, "
+              "10:00, best of %d\n\n", kTimeBudget, repeats);
   std::printf("%4s %9s %8s %9s %8s %10s %10s %10s %7s\n", "n", "mode",
               "ms", "lb_ms", "labels", "checks", "pruned", "pops", "pareto");
   for (const int n : sizes) {
-    for (const bool prune : {false, true}) {
-      const Sample s = run_config(n, prune, repeats);
+    for (const bool budgeted : {false, true}) {
+      const Sample s = run_config(n, budgeted, repeats);
       samples.push_back(s);
       std::printf("%4d %9s %8.2f %9.3f %8zu %10zu %10zu %10zu %7zu\n",
                   s.n, s.mode, s.search_seconds * 1e3,
@@ -152,13 +160,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Exactness spot check riding along with the measurement: pruning
-  // must not change the frontier (the tests pin this too, but a silent
-  // regression here would quietly invalidate the bench's
-  // pruned-vs-unpruned comparison).
-  if (frontier(largest, true) != frontier(largest, false)) {
+  // Exactness spot check riding along with the measurement: the budget
+  // must only cut the frontier, never change what is inside it (the
+  // tests pin this too, but a silent regression here would quietly
+  // invalidate the bench's pruned-vs-unbounded comparison).
+  if (!budgeted_frontier_is_filtered_unbounded(largest)) {
     std::fprintf(stderr,
-                 "error: pruned frontier differs from unpruned at n=%d\n",
+                 "error: pruned frontier differs from the unbounded one "
+                 "within the budget at n=%d\n",
                  largest);
     return 1;
   }
@@ -166,8 +175,8 @@ int main(int argc, char** argv) {
   const char* json_path = argc > 2 ? argv[2] : "BENCH_mlc.json";
   if (std::FILE* f = std::fopen(json_path, "w")) {
     std::fprintf(f, "{\n  \"bench\": \"perf_mlc_scaling\",\n");
-    std::fprintf(f, "  \"time_budget\": 1.1,\n  \"repeats\": %d,\n",
-                 repeats);
+    std::fprintf(f, "  \"time_budget\": %.1f,\n  \"repeats\": %d,\n",
+                 kTimeBudget, repeats);
     std::fprintf(f, "  \"largest_n\": %d,\n", largest);
     std::fprintf(f, "  \"samples\": [\n");
     for (std::size_t i = 0; i < samples.size(); ++i) {

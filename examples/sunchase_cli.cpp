@@ -9,9 +9,9 @@
 //     --time HH:MM             departure (default 10:00)
 //     --ev lv|tesla            vehicle model (default lv)
 //     --panel W                panel power C in watts (default 200)
-//     --time-budget F          max_time_factor (default 1.5)
-//     --no-prune               disable reverse-Dijkstra lower-bound
-//                              pruning (exact either way; for A/B runs)
+//     --time-budget F          max_time_factor (default 1.5; a budget
+//                              prunes against reverse-Dijkstra lower
+//                              bounds; 0 = none, the full Pareto set)
 //     --pricing exact|slot     edge pricing mode (default exact; batch
 //                              defaults to slot — shared cost cache)
 //     --geojson FILE           write the plan as GeoJSON
@@ -123,7 +123,6 @@ struct CliOptions {
   std::string ev = "lv";
   double panel_w = 200.0;
   double time_budget = 1.5;
-  bool prune = true;  ///< lower-bound budget pruning (--no-prune off)
   /// "" resolves after parsing: "slot" for batch (the shared cache is
   /// what makes fleets fast), "exact" everywhere else.
   std::string pricing;
@@ -192,7 +191,7 @@ int usage(const char* argv0) {
                "usage: %s [--rows N] [--cols N] [--seed S] [--from R,C] "
                "[--to R,C]\n"
                "          [--time HH:MM] [--ev lv|tesla] [--panel W]\n"
-               "          [--time-budget F] [--no-prune] "
+               "          [--time-budget F] "
                "[--pricing exact|slot] "
                "[--geojson FILE] "
                "[--graph-out FILE] [--scene-out FILE]\n"
@@ -350,7 +349,6 @@ int run_batch(const CliOptions& opt, core::PricingMode pricing,
   core::BatchPlannerOptions batch_options;
   batch_options.workers = opt.workers;
   batch_options.mlc.max_time_factor = opt.time_budget;
-  batch_options.mlc.prune_with_lower_bounds = opt.prune;
   batch_options.mlc.pricing = pricing;
   // Run the full pipeline (search + clustering + selection) per query:
   // the candidate list is what a route server would hand the fleet.
@@ -417,7 +415,6 @@ int run_serve(const CliOptions& opt, core::PricingMode pricing,
 
   serve::RouteServiceOptions service_options;
   service_options.mlc.max_time_factor = opt.time_budget;
-  service_options.mlc.prune_with_lower_bounds = opt.prune;
   service_options.mlc.pricing = pricing;
   service_options.query_log = query_log.get();
   serve::RouteService service(store, service_options);
@@ -475,7 +472,6 @@ int run_explain(const CliOptions& opt, core::PricingMode pricing) {
 
   core::PlannerOptions planner_options;
   planner_options.mlc.max_time_factor = opt.time_budget;
-  planner_options.mlc.prune_with_lower_bounds = opt.prune;
   planner_options.mlc.pricing = pricing;
   const core::SunChasePlanner planner(world, planner_options);
   const core::PlanResult plan = planner.plan(origin, destination, departure);
@@ -484,8 +480,8 @@ int run_explain(const CliOptions& opt, core::PricingMode pricing) {
   // The ledger replays whichever pricing mode produced the route, so
   // the conservation check below stays bit-exact in both modes.
   const core::RouteExplainer explainer(world);
-  const core::RouteLedger ledger = explainer.explain(
-      best.route, departure, planner_options.mlc.time_dependent, pricing);
+  const core::RouteLedger ledger =
+      explainer.explain(best.route, departure, pricing);
 
   std::printf("%s %u -> %u, departing %s (%s route, %zu edges)\n",
               opt.graph_path.c_str(), origin, destination,
@@ -636,8 +632,6 @@ int main(int argc, char** argv) {
       opt.panel_w = std::atof(v);
     else if (arg == "--time-budget" && (v = next()))
       opt.time_budget = std::atof(v);
-    else if (arg == "--no-prune")
-      opt.prune = false;
     else if (arg == "--pricing" && (v = next()))
       opt.pricing = v;
     else if (arg == "--geojson" && (v = next()))
@@ -791,7 +785,6 @@ int main(int argc, char** argv) {
     const std::unique_ptr<obs::QueryLog> query_log = open_query_log(opt);
     core::PlannerOptions planner_options;
     planner_options.mlc.max_time_factor = opt.time_budget;
-  planner_options.mlc.prune_with_lower_bounds = opt.prune;
     planner_options.mlc.pricing = pricing;
     if (query_log) planner_options.query_log = query_log.get();
     const core::SunChasePlanner planner(world, planner_options);

@@ -68,24 +68,20 @@ class RouteExplainer {
 
   /// Walks `path` from `departure` and prices every edge exactly as the
   /// search did: entry time is the departure advanced by the cumulative
-  /// travel time when `time_dependent` (MlcOptions default), otherwise
-  /// the departure instant (static pricing); the pricing clock is then
-  /// quantized per `pricing` — pass the mode the route was planned with
-  /// so the conservation invariant holds bit-exactly. The ledger's
-  /// `entry` column always records the real entry clock; only the price
-  /// is quantized. Throws GraphError for unknown edges; an empty path
-  /// yields an empty ledger.
+  /// travel time, then quantized per `pricing` — pass the mode the
+  /// route was planned with so the conservation invariant holds
+  /// bit-exactly. The ledger's `entry` column always records the real
+  /// entry clock; only the price is quantized. Throws GraphError for
+  /// unknown edges; an empty path yields an empty ledger.
   [[nodiscard]] RouteLedger explain(
       const roadnet::Path& path, TimeOfDay departure,
-      bool time_dependent = true,
       PricingMode pricing = PricingMode::Exact) const;
 
   /// Convenience: explain a Pareto route of an MlcResult.
   [[nodiscard]] RouteLedger explain(
       const ParetoRoute& route, TimeOfDay departure,
-      bool time_dependent = true,
       PricingMode pricing = PricingMode::Exact) const {
-    return explain(route.path, departure, time_dependent, pricing);
+    return explain(route.path, departure, pricing);
   }
 
   /// The snapshot every ledger prices against.

@@ -28,35 +28,29 @@
 namespace sunchase::core {
 
 struct MlcOptions {
-  /// Time budget as a multiple of the shortest travel time: labels whose
-  /// travel time exceeds factor * T_shortest are pruned — the paper's
-  /// "acceptable arrival time" constraint. Set to 0 to disable (the
-  /// full, unconstrained Pareto set; can be large).
+  /// Time budget as a multiple of the shortest travel time — the
+  /// paper's "acceptable arrival time" constraint. With a budget, a
+  /// reverse Dijkstra from the destination (static lower-bound edge
+  /// weights, no early exit) runs once per query, and a label whose
+  /// travel time plus its node's time-to-destination lower bound
+  /// exceeds factor * T_shortest is never inserted. The bound is
+  /// admissible, so the Pareto set is exactly the unbounded one's
+  /// routes within the budget; only the explored frontier shrinks. Set
+  /// to 0 to disable (the full, unconstrained Pareto set; can be large).
   double max_time_factor = 1.5;
   /// Hard safety cap on created labels; RoutingError beyond it.
   std::size_t max_labels = 5'000'000;
-  /// When true (default), edge criteria are evaluated at the clock time
-  /// the label enters the edge (departure + accumulated travel time),
-  /// so a route crossing a 15-minute boundary sees the shading/panel
-  /// state change mid-route. When false, all edges are priced at the
-  /// departure instant (the static approximation).
-  bool time_dependent = true;
-  /// How the entry clock is turned into an edge price: Exact evaluates
-  /// the solar map per expansion; SlotQuantized rounds the clock down to
-  /// the 15-minute slot start and reads the shared SlotCostCache.
+  /// Every edge is priced at the clock the label enters it (departure
+  /// plus accumulated travel time), so a route crossing a 15-minute
+  /// boundary sees the shading and panel state change mid-route. How
+  /// that clock is turned into an edge price: Exact evaluates the solar
+  /// map per expansion; SlotQuantized rounds the clock down to the
+  /// 15-minute slot start and reads the shared SlotCostCache.
   /// Bit-identical on a slot-constant world; see PricingMode.
   PricingMode pricing = PricingMode::Exact;
   /// Which of the world's vehicles the energy-consumption criterion is
   /// priced for (an index into World's vehicle list).
   std::size_t vehicle = 0;
-  /// When true (default) and a time budget is active, a reverse Dijkstra
-  /// from the destination (static lower-bound edge weights, no early
-  /// exit) is run once per query and any label whose travel time plus
-  /// its node's time-to-destination lower bound exceeds the budget is
-  /// never inserted. Admissible, so the destination Pareto set is
-  /// bit-identical to the plain filter — only the explored frontier
-  /// shrinks. No effect when max_time_factor == 0.
-  bool prune_with_lower_bounds = true;
 };
 
 /// One non-dominated route with its criteria vector.
@@ -81,15 +75,15 @@ struct MlcStats {
   std::size_t queue_pops = 0;
   std::size_t pareto_size = 0;
   /// Expansions rejected because travel time plus the node's
-  /// time-to-destination lower bound exceeded the time budget (counts
-  /// the old plain filter too when lower-bound pruning is off). Edges
-  /// back to the parent's node are skipped first and not counted.
+  /// time-to-destination lower bound exceeded the time budget (0 when
+  /// no budget is set). Edges back to the parent's node are skipped
+  /// first and not counted.
   std::size_t labels_pruned_bound = 0;
   Seconds shortest_travel_time{0.0};
   /// Wall clock of this search (the query log's mlc phase duration).
   double search_seconds = 0.0;
   /// Wall clock of the reverse-Dijkstra lower-bound build (inside
-  /// search_seconds; 0 when pruning is off or no budget is set).
+  /// search_seconds; 0 when no budget is set).
   double lower_bound_seconds = 0.0;
 };
 

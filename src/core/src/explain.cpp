@@ -103,7 +103,7 @@ RouteExplainer::RouteExplainer(WorldPtr world, std::size_t vehicle)
 }
 
 RouteLedger RouteExplainer::explain(const roadnet::Path& path,
-                                    TimeOfDay departure, bool time_dependent,
+                                    TimeOfDay departure,
                                     PricingMode pricing) const {
   RouteLedger ledger;
   ledger.departure = departure;
@@ -119,9 +119,7 @@ RouteLedger RouteExplainer::explain(const roadnet::Path& path,
     // carries the cumulative travel time, and the search prices the
     // edge at departure advanced by it — not an iteratively advanced
     // clock — so the ledger reproduces the criteria vector bit for bit.
-    const TimeOfDay entry =
-        time_dependent ? departure.advanced_by(cumulative.travel_time)
-                       : departure;
+    const TimeOfDay entry = departure.advanced_by(cumulative.travel_time);
     // Replay the pricing mode too: a SlotQuantized route was costed at
     // the slot start, so the ledger must price there as well or the
     // conservation sums drift by the within-slot difference.

@@ -164,9 +164,9 @@ struct Search {
   const SlotCostCache* cache;
   const MlcOptions& options;
   TimeOfDay departure;
+  /// The time budget in seconds, 0 for none. When set,
+  /// ws.lower_bounds holds every node's time-to-destination bound.
   double time_bound;
-  /// Time-to-destination bounds; nullptr when pruning is off.
-  const detail::DijkstraState* lower_bounds;
   Workspace& ws;
   MlcStats& stats;
   /// Exact edge pricings, added to "solar.evaluate_calls" with the other
@@ -205,10 +205,7 @@ struct Search {
   /// dominates it, is already in its node's staircase, so the U-turn
   /// could only be rejected there.
   void expand(const Label& current, std::uint32_t index) {
-    const TimeOfDay now =
-        options.time_dependent
-            ? departure.advanced_by(current.cost.travel_time)
-            : departure;
+    const TimeOfDay now = departure.advanced_by(current.cost.travel_time);
     const roadnet::NodeId back =
         current.parent < 0
             ? roadnet::kInvalidNode
@@ -235,15 +232,11 @@ struct Search {
           current.cost +
           (cache ? cache->at(e, slot).criteria() : ws.prices[i]);
       const roadnet::NodeId to = graph.edge(e).to;
-      if (time_bound > 0.0) {
-        // With lower bounds: can this label still reach the destination
-        // inside the budget? Without: the plain arrival-time filter
-        // (lb == 0 everywhere, which the bounds subsume since lb >= 0).
-        const double slack = lower_bounds ? (*lower_bounds)[to] : 0.0;
-        if (next.travel_time.value() + slack > time_bound) {
-          ++stats.labels_pruned_bound;
-          continue;  // cannot make the acceptable arrival time
-        }
+      // Can this label still reach the destination inside the budget?
+      if (time_bound > 0.0 &&
+          next.travel_time.value() + ws.lower_bounds[to] > time_bound) {
+        ++stats.labels_pruned_bound;
+        continue;  // cannot make the acceptable arrival time
       }
       ++stats.dominance_checks;
       if (detail::covers(ws.at(to).stairs, next))
@@ -365,23 +358,21 @@ MlcResult MultiLabelCorrecting::search(roadnet::NodeId origin,
   // Admissibility makes the prune exact — a label it kills can only lead
   // to arrivals past the budget, and domination is downward-closed under
   // it (a dominating label has <= travel time, so it survives whenever
-  // its victim would). Skipped when pruning is off or no budget is set;
-  // the bound at the destination is 0, so in-budget arrivals never prune.
-  const detail::DijkstraState* lower_bounds = nullptr;
-  if (time_bound > 0.0 && options_.prune_with_lower_bounds) {
+  // its victim would). Skipped when no budget is set; the bound at the
+  // destination is 0, so in-budget arrivals never prune.
+  if (time_bound > 0.0) {
     const obs::SpanTimer lb_span("mlc.lower_bounds");
     const auto lb_start = std::chrono::steady_clock::now();
     detail::time_lower_bounds(graph, map.traffic(), destination,
                               ws.lower_bounds);
-    lower_bounds = &ws.lower_bounds;
     result.stats.lower_bound_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       lb_start)
             .count();
   }
 
-  Search s(graph, map, vehicle, cache_, options_, departure, time_bound,
-           lower_bounds, ws, result.stats);
+  Search s(graph, map, vehicle, cache_, options_, departure, time_bound, ws,
+           result.stats);
   const std::vector<std::uint32_t> pareto =
       staircase_search(s, origin, destination);
 

@@ -31,7 +31,6 @@ struct LedgerEntry {
   roadnet::NodeId destination = roadnet::kInvalidNode;
   TimeOfDay departure;
   core::PricingMode pricing = core::PricingMode::Exact;
-  bool time_dependent = true;
   std::size_t vehicle = 0;
   roadnet::Path route;   ///< the recommended route of the response
   core::Criteria cost;   ///< its search criteria (conservation reference)

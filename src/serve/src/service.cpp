@@ -35,18 +35,32 @@ obs::Counter& counter(const char* name) {
   return obs::Registry::global().counter(name);
 }
 
-/// Required node-id member: a non-negative integral JSON number.
+/// The integral JSON number `value` of field `key` as a T in [lo, hi],
+/// else InvalidArgument naming the field. The checks run on the double,
+/// so no value outside T (-1, 1e300, inf; a non-number reads as NaN)
+/// reaches the cast, where it would be undefined. `< hi + 1` stays exact
+/// for a hi of 2^k - 1 too wide for a double: the sum rounds to 2^k.
+template <typename T>
+T integral_from(const JsonValue& value, const char* key, T lo, T hi) {
+  const double raw = value.is_number()
+                         ? value.as_number()
+                         : std::numeric_limits<double>::quiet_NaN();
+  if (!(raw >= static_cast<double>(lo) &&
+        raw < static_cast<double>(hi) + 1.0 && raw == std::floor(raw)))
+    throw InvalidArgument(std::string("field \"") + key +
+                          "\" must be an integer in [" + std::to_string(lo) +
+                          ", " + std::to_string(hi) + "]");
+  return static_cast<T>(raw);
+}
+
+/// Required node-id member.
 roadnet::NodeId node_from(const JsonValue& body, const char* key) {
   const JsonValue* member = body.find(key);
   if (member == nullptr)
     throw InvalidArgument(std::string("missing required field \"") + key +
                           '"');
-  const double raw = member->as_number();
-  if (!(raw >= 0.0) || raw != std::floor(raw) ||
-      raw >= static_cast<double>(roadnet::kInvalidNode))
-    throw InvalidArgument(std::string("field \"") + key +
-                          "\" must be a non-negative node id");
-  return static_cast<roadnet::NodeId>(raw);
+  return integral_from<roadnet::NodeId>(*member, key, 0,
+                                        roadnet::kInvalidNode - 1);
 }
 
 TimeOfDay departure_from(const JsonValue& body) {
@@ -305,16 +319,9 @@ core::MlcOptions RouteService::mlc_options_from(const JsonValue& body) {
           "time_budget must be 0 (unbounded) or >= 1 (a multiple of the "
           "shortest travel time)");
   }
-  if (const JsonValue* prune = body.find("prune_with_lower_bounds"))
-    mlc.prune_with_lower_bounds = prune->as_bool();
-  if (const JsonValue* vehicle = body.find("vehicle")) {
-    const double raw = vehicle->as_number();
-    if (!(raw >= 0.0) || raw != std::floor(raw))
-      throw InvalidArgument("vehicle must be a non-negative index");
-    mlc.vehicle = static_cast<std::size_t>(raw);
-  }
-  if (const JsonValue* dependent = body.find("time_dependent"))
-    mlc.time_dependent = dependent->as_bool();
+  if (const JsonValue* vehicle = body.find("vehicle"))
+    mlc.vehicle = integral_from<std::size_t>(
+        *vehicle, "vehicle", 0, std::numeric_limits<std::size_t>::max());
   return mlc;
 }
 
@@ -342,7 +349,6 @@ HttpResponse RouteService::handle_plan(const HttpRequest& request) {
   entry.destination = destination;
   entry.departure = departure;
   entry.pricing = popts.mlc.pricing;
-  entry.time_dependent = popts.mlc.time_dependent;
   entry.vehicle = popts.mlc.vehicle;
   entry.route = chosen.route.path;
   entry.cost = chosen.route.cost;
@@ -454,7 +460,6 @@ HttpResponse RouteService::handle_batch(const HttpRequest& request) {
     entry.destination = queries[i].destination;
     entry.departure = queries[i].departure;
     entry.pricing = bopts.mlc.pricing;
-    entry.time_dependent = bopts.mlc.time_dependent;
     entry.vehicle = bopts.mlc.vehicle;
     entry.route = chosen.route.path;
     entry.cost = chosen.route.cost;
@@ -505,7 +510,7 @@ HttpResponse RouteService::handle_explain(std::uint64_t query_id) {
   // never the store's current world, which may be versions ahead.
   const core::RouteExplainer explainer(entry->world, entry->vehicle);
   const core::RouteLedger route_ledger = explainer.explain(
-      entry->route, entry->departure, entry->time_dependent, entry->pricing);
+      entry->route, entry->departure, entry->pricing);
   counter("serve.explains").add();
 
   std::string out = "{";
@@ -517,8 +522,6 @@ HttpResponse RouteService::handle_explain(std::uint64_t query_id) {
   out += ",\"pricing\":" + json_quote(core::pricing_name(entry->pricing));
   if (!entry->trace_id.empty())
     out += ",\"trace_id\":" + json_quote(entry->trace_id);
-  out += ",\"time_dependent\":";
-  out += entry->time_dependent ? "true" : "false";
   out += ",\"vehicle\":" + std::to_string(entry->vehicle);
   // What the original answer cost: CPU + the search effort behind it.
   out += ",\"cost_accounting\":{\"cpu_ms\":" + num(entry->cpu_ms);
@@ -557,12 +560,9 @@ HttpResponse RouteService::handle_publish(const HttpRequest& request) {
       throw InvalidArgument("missing required field \"observations\"");
 
     crowd::CrowdSolarMap::Options copts;
-    if (const JsonValue* min_obs = body.find("min_observations")) {
-      const double raw = min_obs->as_number();
-      if (!(raw >= 1.0) || raw != std::floor(raw))
-        throw InvalidArgument("min_observations must be a positive integer");
-      copts.min_observations = static_cast<int>(raw);
-    }
+    if (const JsonValue* min_obs = body.find("min_observations"))
+      copts.min_observations = integral_from<int>(
+          *min_obs, "min_observations", 1, std::numeric_limits<int>::max());
 
     const core::WorldPtr base = store_.current();
     // The prior is never consulted: fold_observations falls back to the
@@ -578,11 +578,14 @@ HttpResponse RouteService::handle_publish(const HttpRequest& request) {
       if (edge == nullptr || slot == nullptr || fraction == nullptr)
         throw InvalidArgument(
             "each observation needs edge, slot, shaded_fraction");
-      observation.edge = static_cast<roadnet::EdgeId>(edge->as_number());
-      observation.slot = static_cast<int>(slot->as_number());
+      observation.edge = integral_from<roadnet::EdgeId>(
+          *edge, "edge", 0, roadnet::kInvalidEdge - 1);
+      observation.slot = integral_from<int>(*slot, "slot", 0,
+                                            TimeOfDay::kSlotsPerDay - 1);
       observation.shaded_fraction = fraction->as_number();
-      observation.vehicle_id =
-          static_cast<std::uint64_t>(value.number_or("vehicle_id", 0.0));
+      if (const JsonValue* id = value.find("vehicle_id"))
+        observation.vehicle_id = integral_from<std::uint64_t>(
+            *id, "vehicle_id", 0, std::numeric_limits<std::uint64_t>::max());
       crowd.report(observation);
     }
     observation_count = crowd.observation_count();

@@ -32,19 +32,32 @@ inline shadow::ShadedFractionFn hashed_shading() {
   };
 }
 
+/// hashed_shading without the slot: each edge keeps one shaded fraction
+/// all day. With RoutingEnv's uniform traffic and constant panel power
+/// no edge price then depends on the clock at all, so the search's
+/// entry-clock pricing equals pricing every edge at the departure
+/// instant, and brute_force_pareto below is its exact reference.
+inline shadow::ShadedFractionFn clock_constant_shading() {
+  return [](roadnet::EdgeId e, TimeOfDay) {
+    const auto h = static_cast<std::uint64_t>(e) * 2654435761u;
+    return static_cast<double>(h % 900) / 1000.0;
+  };
+}
+
 /// A ready-to-route environment around any graph: one World snapshot
-/// carrying the graph (copied), uniform traffic, the hashed shading
-/// profile, constant 200 W panel power and two vehicles — the LV
-/// prototype at index kLv and the Tesla Model S at index kTesla. The
-/// reference members are views into the snapshot, for tests that poke
-/// at individual components.
+/// carrying the graph (copied), uniform traffic, a shading profile
+/// (hashed_shading unless given), constant 200 W panel power and two
+/// vehicles — the LV prototype at index kLv and the Tesla Model S at
+/// index kTesla. The reference members are views into the snapshot, for
+/// tests that poke at individual components.
 struct RoutingEnv {
   static constexpr std::size_t kLv = 0;
   static constexpr std::size_t kTesla = 1;
 
   explicit RoutingEnv(const roadnet::RoadGraph& g,
-                      MetersPerSecond uniform_speed = kmh(15.0))
-      : world(make_world(g, uniform_speed)),
+                      MetersPerSecond uniform_speed = kmh(15.0),
+                      shadow::ShadedFractionFn shading = hashed_shading())
+      : world(make_world(g, uniform_speed, std::move(shading))),
         graph(world->graph()),
         traffic(world->traffic()),
         profile(world->shading()),
@@ -53,21 +66,24 @@ struct RoutingEnv {
         tesla(world->vehicle(kTesla)) {}
 
   [[nodiscard]] static core::WorldPtr make_world(
-      const roadnet::RoadGraph& g, MetersPerSecond uniform_speed = kmh(15.0)) {
-    return core::World::create(make_init(g, uniform_speed));
+      const roadnet::RoadGraph& g, MetersPerSecond uniform_speed = kmh(15.0),
+      shadow::ShadedFractionFn shading = hashed_shading()) {
+    return core::World::create(
+        make_init(g, uniform_speed, std::move(shading)));
   }
 
   /// The snapshot recipe alone, for tests that publish through a
   /// WorldStore or derive variants before creating.
   [[nodiscard]] static core::WorldInit make_init(
-      const roadnet::RoadGraph& g, MetersPerSecond uniform_speed = kmh(15.0)) {
+      const roadnet::RoadGraph& g, MetersPerSecond uniform_speed = kmh(15.0),
+      shadow::ShadedFractionFn shading = hashed_shading()) {
     auto graph = std::make_shared<const roadnet::RoadGraph>(g);
     core::WorldInit init;
     init.graph = graph;
     init.traffic =
         std::make_shared<const roadnet::UniformTraffic>(uniform_speed);
     init.shading = std::make_shared<const shadow::ShadingProfile>(
-        shadow::ShadingProfile::compute(*graph, hashed_shading(),
+        shadow::ShadingProfile::compute(*graph, shading,
                                         TimeOfDay::hms(8, 0),
                                         TimeOfDay::hms(18, 0)));
     init.panel_power = solar::constant_panel_power(Watts{200.0});
@@ -149,8 +165,8 @@ inline std::vector<core::ParetoRoute> brute_force_pareto(
   return frontier;
 }
 
-/// Ground truth for MLC with time_dependent = false: every edge priced
-/// with *static* criteria at `departure`.
+/// Every edge priced with its criteria at `departure`: the search's
+/// ground truth on a clock-constant world (clock_constant_shading).
 inline std::vector<core::ParetoRoute> brute_force_pareto(
     const solar::SolarInputMap& map, const ev::ConsumptionModel& vehicle,
     roadnet::NodeId origin, roadnet::NodeId destination,

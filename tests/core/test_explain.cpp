@@ -65,11 +65,9 @@ const PaperWorld& world() {
   return w;
 }
 
-MlcResult search_a1_b1(bool time_dependent = true,
-                       PricingMode pricing = PricingMode::Exact) {
+MlcResult search_a1_b1(PricingMode pricing = PricingMode::Exact) {
   MlcOptions options;
   options.max_time_factor = 1.5;
-  options.time_dependent = time_dependent;
   options.pricing = pricing;
   const MultiLabelCorrecting solver(world().snapshot, options);
   // The paper's A1 -> B1 trip at 10:00 (Table R-I).
@@ -96,31 +94,15 @@ TEST(RouteExplainerTest, ConservesExactRoutesBitExactly) {
   // speed evaluate() used — the same operations in the same order as
   // the search's batched price_edges — so even under continuous urban
   // congestion the sums reproduce every route's cost with zero
-  // tolerance, static or time-dependent.
-  for (const bool time_dependent : {true, false}) {
-    const MlcResult result = search_a1_b1(time_dependent);
-    ASSERT_FALSE(result.routes.empty());
-    const RouteExplainer explainer(world().snapshot);
-    for (const ParetoRoute& route : result.routes) {
-      const RouteLedger ledger =
-          explainer.explain(route, TimeOfDay::hms(10, 0), time_dependent);
-      EXPECT_TRUE(ledger.conserves(route.cost, 0.0))
-          << "deviation " << ledger.max_deviation(route.cost) << " over "
-          << ledger.steps.size() << " edges";
-    }
-  }
-}
-
-TEST(RouteExplainerTest, ConservesUnderStaticPricingToo) {
-  const MlcResult result = search_a1_b1(/*time_dependent=*/false);
+  // tolerance.
+  const MlcResult result = search_a1_b1();
   ASSERT_FALSE(result.routes.empty());
-
   const RouteExplainer explainer(world().snapshot);
   for (const ParetoRoute& route : result.routes) {
-    const RouteLedger ledger = explainer.explain(
-        route, TimeOfDay::hms(10, 0), /*time_dependent=*/false);
-    EXPECT_TRUE(ledger.conserves(route.cost, 1e-6))
-        << "deviation " << ledger.max_deviation(route.cost);
+    const RouteLedger ledger = explainer.explain(route, TimeOfDay::hms(10, 0));
+    EXPECT_TRUE(ledger.conserves(route.cost, 0.0))
+        << "deviation " << ledger.max_deviation(route.cost) << " over "
+        << ledger.steps.size() << " edges";
   }
 }
 
@@ -131,14 +113,13 @@ TEST(RouteExplainerTest, ConservesSlotQuantizedRoutesBitExactly) {
   // replays the same mode — and then it must do so with zero tolerance,
   // because both paths run identical arithmetic at the slot start.
   const MlcResult result =
-      search_a1_b1(/*time_dependent=*/true, PricingMode::SlotQuantized);
+      search_a1_b1(PricingMode::SlotQuantized);
   ASSERT_FALSE(result.routes.empty());
 
   const RouteExplainer explainer(world().snapshot);
   for (const ParetoRoute& route : result.routes) {
     const RouteLedger ledger =
         explainer.explain(route, TimeOfDay::hms(10, 0),
-                          /*time_dependent=*/true,
                           PricingMode::SlotQuantized);
     EXPECT_TRUE(ledger.conserves(route.cost, 0.0))
         << "deviation " << ledger.max_deviation(route.cost) << " over "
@@ -153,15 +134,14 @@ TEST(RouteExplainerTest, ReplayingTheWrongPricingModeBreaksConservation) {
   // failing, the two modes have collapsed into one and the pricing
   // parameter is dead weight.
   const MlcResult result =
-      search_a1_b1(/*time_dependent=*/true, PricingMode::SlotQuantized);
+      search_a1_b1(PricingMode::SlotQuantized);
   ASSERT_FALSE(result.routes.empty());
 
   const RouteExplainer explainer(world().snapshot);
   bool any_drift = false;
   for (const ParetoRoute& route : result.routes) {
     const RouteLedger ledger =
-        explainer.explain(route, TimeOfDay::hms(10, 0),
-                          /*time_dependent=*/true, PricingMode::Exact);
+        explainer.explain(route, TimeOfDay::hms(10, 0), PricingMode::Exact);
     if (!ledger.conserves(route.cost, 0.0)) any_drift = true;
   }
   EXPECT_TRUE(any_drift);
@@ -169,14 +149,14 @@ TEST(RouteExplainerTest, ReplayingTheWrongPricingModeBreaksConservation) {
 
 TEST(RouteExplainerTest, SlotLedgerRecordsRealEntryClocksNotSlotStarts) {
   const MlcResult result =
-      search_a1_b1(/*time_dependent=*/true, PricingMode::SlotQuantized);
+      search_a1_b1(PricingMode::SlotQuantized);
   ASSERT_FALSE(result.routes.empty());
   const ParetoRoute& route = result.routes.front();
 
   const RouteExplainer explainer(world().snapshot);
   const TimeOfDay departure = TimeOfDay::hms(10, 0);
-  const RouteLedger ledger = explainer.explain(
-      route, departure, /*time_dependent=*/true, PricingMode::SlotQuantized);
+  const RouteLedger ledger =
+      explainer.explain(route, departure, PricingMode::SlotQuantized);
 
   // Only the price is quantized; the entry column keeps the search
   // clock (departure advanced by the cumulative travel time).

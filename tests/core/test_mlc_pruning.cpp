@@ -1,10 +1,12 @@
-// Lower-bound budget pruning must be invisible in the results —
-// bit-identical Pareto sets (costs AND paths) against the unpruned
-// search on the paper world and a generated urban grid, at rush hour,
-// under both pricing modes, and with the clock saturated at the end of
-// the day — while measurably shrinking the explored frontier.
+// Lower-bound budget pruning must be invisible in the results: the
+// budgeted Pareto set is bit for bit (costs AND paths) the unbounded
+// search's routes within the budget, on the paper world and a generated
+// urban grid, at rush hour, under both pricing modes, and with the
+// clock saturated at the end of the day — while the budgeted search
+// explores strictly less.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -61,29 +63,45 @@ const core::WorldPtr& paper_world() {
   return snapshot;
 }
 
-/// Pruned and unpruned searches of the same query must agree bit for
-/// bit on the destination Pareto set; the pruned one must not have
-/// done more work.
-void expect_bit_identical(const core::WorldPtr& world, roadnet::NodeId o,
-                          roadnet::NodeId d, TimeOfDay dep,
-                          PricingMode pricing) {
-  MlcOptions on;
-  on.max_time_factor = 1.5;
-  on.pricing = pricing;
-  on.prune_with_lower_bounds = true;
-  MlcOptions off = on;
-  off.prune_with_lower_bounds = false;
-  const MlcResult pruned = MultiLabelCorrecting(world, on).search(o, d, dep);
-  const MlcResult plain = MultiLabelCorrecting(world, off).search(o, d, dep);
+/// The budgeted search of one query and the unbounded search's routes
+/// within the same budget must agree bit for bit, and the budgeted
+/// search must not have created or popped more labels. Returns the
+/// budgeted and the unbounded stats, for the callers' strict checks.
+std::pair<MlcStats, MlcStats> expect_bit_identical(
+    const core::WorldPtr& world, roadnet::NodeId o, roadnet::NodeId d,
+    TimeOfDay dep, PricingMode pricing, double max_time_factor = 1.5) {
+  MlcOptions budgeted_opt;
+  budgeted_opt.max_time_factor = max_time_factor;
+  budgeted_opt.pricing = pricing;
+  MlcOptions unbounded_opt = budgeted_opt;
+  unbounded_opt.max_time_factor = 0.0;
+  const MlcResult budgeted =
+      MultiLabelCorrecting(world, budgeted_opt).search(o, d, dep);
+  MlcResult unbounded =
+      MultiLabelCorrecting(world, unbounded_opt).search(o, d, dep);
+  const double bound =
+      budgeted.stats.shortest_travel_time.value() * max_time_factor;
+  std::erase_if(unbounded.routes, [&](const ParetoRoute& r) {
+    return r.cost.travel_time.value() > bound;
+  });
 
-  ASSERT_EQ(pruned.routes.size(), plain.routes.size())
-      << "pruning changed the Pareto set size";
-  for (std::size_t r = 0; r < pruned.routes.size(); ++r) {
-    EXPECT_EQ(pruned.routes[r].cost, plain.routes[r].cost);
-    EXPECT_EQ(pruned.routes[r].path.edges, plain.routes[r].path.edges);
+  EXPECT_EQ(budgeted.routes.size(), unbounded.routes.size())
+      << "the budget changed the Pareto set inside it";
+  for (std::size_t r = 0;
+       r < std::min(budgeted.routes.size(), unbounded.routes.size()); ++r) {
+    EXPECT_EQ(budgeted.routes[r].cost, unbounded.routes[r].cost);
+    EXPECT_EQ(budgeted.routes[r].path.edges, unbounded.routes[r].path.edges);
   }
-  EXPECT_LE(pruned.stats.labels_created, plain.stats.labels_created);
-  EXPECT_LE(pruned.stats.queue_pops, plain.stats.queue_pops);
+  EXPECT_LE(budgeted.stats.labels_created, unbounded.stats.labels_created);
+  EXPECT_LE(budgeted.stats.queue_pops, unbounded.stats.queue_pops);
+  return {budgeted.stats, unbounded.stats};
+}
+
+/// Strictly less search work under the budget than without one.
+void expect_strictly_less(const std::pair<MlcStats, MlcStats>& stats) {
+  const auto& [budgeted, unbounded] = stats;
+  EXPECT_LT(budgeted.labels_created, unbounded.labels_created);
+  EXPECT_LT(budgeted.queue_pops, unbounded.queue_pops);
 }
 
 TEST(MlcPruning, CtorRejectsNonFiniteTimeFactor) {
@@ -114,10 +132,21 @@ TEST(MlcPruning, BitIdenticalOnUrbanGridAtRushHour) {
   // 08:30 sits at the morning congestion peak: entry speeds are far
   // below the free-flow bound the reverse Dijkstra uses, the widest
   // admissibility gap the model can produce.
+  std::pair<MlcStats, MlcStats> total;
   for (const auto& [o, d] : trips)
     for (const PricingMode pricing :
-         {PricingMode::Exact, PricingMode::SlotQuantized})
-      expect_bit_identical(world, o, d, TimeOfDay::hms(8, 30), pricing);
+         {PricingMode::Exact, PricingMode::SlotQuantized}) {
+      const auto [budgeted, unbounded] =
+          expect_bit_identical(world, o, d, TimeOfDay::hms(8, 30), pricing);
+      total.first.labels_created += budgeted.labels_created;
+      total.first.queue_pops += budgeted.queue_pops;
+      total.second.labels_created += unbounded.labels_created;
+      total.second.queue_pops += unbounded.queue_pops;
+    }
+  // Summed over the trips: on the two shorter ones every label the 1.5x
+  // budget cuts is one their staircases reject anyway, so there it
+  // saves dominance checks, not labels.
+  expect_strictly_less(total);
 }
 
 TEST(MlcPruning, BitIdenticalOnThePaperWorld) {
@@ -127,38 +156,31 @@ TEST(MlcPruning, BitIdenticalOnThePaperWorld) {
   const auto d = static_cast<roadnet::NodeId>(graph.node_count() - 1);
   for (const PricingMode pricing :
        {PricingMode::Exact, PricingMode::SlotQuantized})
-    expect_bit_identical(world, o, d, TimeOfDay::hms(8, 30), pricing);
+    expect_strictly_less(
+        expect_bit_identical(world, o, d, TimeOfDay::hms(8, 30), pricing));
 }
 
 TEST(MlcPruning, PruningMeasurablyShrinksTheSearch) {
   const roadnet::GridCity city{roadnet::GridCityOptions{}};
   const core::WorldPtr world = urban_world(city.graph());
-  MlcOptions on;
-  // A tight budget (20% slack, the paper's extra-travel-time regime):
-  // loose budgets admit every label inside a wide detour ellipse and
-  // the bound has nothing to kill.
-  on.max_time_factor = 1.2;
-  MlcOptions off = on;
-  off.prune_with_lower_bounds = false;
-  const TimeOfDay dep = TimeOfDay::hms(8, 30);
-  const MlcResult pruned = MultiLabelCorrecting(world, on).search(
-      city.node_at(0, 0), city.node_at(9, 9), dep);
-  const MlcResult plain = MultiLabelCorrecting(world, off).search(
-      city.node_at(0, 0), city.node_at(9, 9), dep);
-  // Strict reduction, not <=: on a grid this size the bound must bite.
-  EXPECT_LT(pruned.stats.labels_created, plain.stats.labels_created);
-  EXPECT_LT(pruned.stats.queue_pops, plain.stats.queue_pops);
-  EXPECT_GT(pruned.stats.labels_pruned_bound, 0u);
-  EXPECT_GT(pruned.stats.lower_bound_seconds, 0.0);
-  // The unpruned search never builds lower bounds.
-  EXPECT_EQ(plain.stats.lower_bound_seconds, 0.0);
+  // A tight budget (20% slack, the paper's extra-travel-time regime).
+  const auto stats = expect_bit_identical(
+      world, city.node_at(0, 0), city.node_at(9, 9), TimeOfDay::hms(8, 30),
+      PricingMode::Exact, 1.2);
+  expect_strictly_less(stats);
+  const auto& [budgeted, unbounded] = stats;
+  EXPECT_GT(budgeted.labels_pruned_bound, 0u);
+  EXPECT_GT(budgeted.lower_bound_seconds, 0.0);
+  // The unbounded search never builds lower bounds.
+  EXPECT_EQ(unbounded.lower_bound_seconds, 0.0);
+  EXPECT_EQ(unbounded.labels_pruned_bound, 0u);
 }
 
 TEST(MlcPruning, MidnightSaturationStaysAdmissible) {
   // A trip departing 23:59 saturates: every advanced_by lands in slot
   // 95 and stays there. The static lower bound must remain admissible
-  // against that frozen clock — no route of the unpruned search may be
-  // lost to pruning.
+  // against that frozen clock — no route of the unbounded search within
+  // the budget may be lost to pruning.
   const roadnet::GridCity city{roadnet::GridCityOptions{}};
   const core::WorldPtr world = urban_world(city.graph());
   const TimeOfDay dep = TimeOfDay::hms(23, 59);
@@ -168,18 +190,17 @@ TEST(MlcPruning, MidnightSaturationStaysAdmissible) {
             TimeOfDay::kSlotsPerDay - 1);
   for (const PricingMode pricing :
        {PricingMode::Exact, PricingMode::SlotQuantized})
-    expect_bit_identical(world, city.node_at(1, 1), city.node_at(8, 8), dep,
-                         pricing);
+    expect_strictly_less(expect_bit_identical(
+        world, city.node_at(1, 1), city.node_at(8, 8), dep, pricing));
 }
 
 TEST(MlcPruning, DisabledBudgetSkipsTheLowerBoundBuild) {
   // max_time_factor = 0: nothing to prune against, so no reverse
-  // Dijkstra runs even with pruning enabled.
+  // Dijkstra runs.
   const roadnet::GridCity city{roadnet::GridCityOptions{}};
   test::RoutingEnv env(city.graph());
   MlcOptions opt;
   opt.max_time_factor = 0.0;
-  opt.prune_with_lower_bounds = true;
   const MlcResult result = MultiLabelCorrecting(env.world, opt).search(
       city.node_at(1, 1), city.node_at(4, 4), TimeOfDay::hms(10, 0));
   EXPECT_EQ(result.stats.lower_bound_seconds, 0.0);

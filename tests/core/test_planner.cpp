@@ -200,7 +200,6 @@ TEST_P(PlannerDayProperty, InvariantsAtEveryHour) {
     test::RoutingEnv env(city.graph());
     const SunChasePlanner planner(env.world);
     ASSERT_EQ(planner.options().mlc.pricing, PricingMode::Exact);
-    ASSERT_TRUE(planner.options().mlc.time_dependent);
     const TimeOfDay dep = TimeOfDay::hms(GetParam(), trip.minute);
     const PlanResult plan =
         planner.plan(city.node_at(trip.from_row, trip.from_col),

@@ -153,7 +153,6 @@ std::uint64_t fingerprint(const MlcResult& result) {
 }
 
 struct PinnedQuery {
-  bool prune;
   std::uint64_t fingerprint;
   std::size_t pareto_size;
   std::size_t labels_created;
@@ -161,8 +160,8 @@ struct PinnedQuery {
   std::size_t queue_pops;
   std::uint64_t evaluate_calls;
 
-  friend void PrintTo(const PinnedQuery& pin, std::ostream* os) {
-    *os << (pin.prune ? "pruned" : "unpruned");
+  friend void PrintTo(const PinnedQuery&, std::ostream* os) {
+    *os << "pruned";  // a budgeted query: pruned against lower bounds
   }
 };
 
@@ -174,8 +173,9 @@ TEST_P(EdgePricingPinned, ExactQueryKeepsItsFrontierEffortAndPricingCount) {
   // of them. Dominance checks and "solar.evaluate_calls" were re-pinned
   // when expansions stopped pricing U-turns (edges back to the parent
   // label's node): the pricings drop by exactly the skipped edges
-  // (5292 -> 3966 and 5445 -> 4094), the checks by those of them that
-  // made the time budget (7613 -> 6323 and 8082 -> 6731).
+  // (5292 -> 3966), the checks by those of them that made the time
+  // budget (7613 -> 6323). The labels also pin the lower-bound prune:
+  // the plain 1.1x arrival filter alone creates 2637.
   const PinnedQuery& pin = GetParam();
   roadnet::GridCityOptions opt;
   opt.rows = 12;
@@ -184,7 +184,6 @@ TEST_P(EdgePricingPinned, ExactQueryKeepsItsFrontierEffortAndPricingCount) {
   const WorldPtr world = grid_world(12, /*urban=*/true);
   MlcOptions options;
   options.max_time_factor = 1.1;
-  options.prune_with_lower_bounds = pin.prune;
   const MultiLabelCorrecting solver(world, options);
 
   const std::uint64_t before = evaluate_calls();
@@ -202,12 +201,10 @@ TEST_P(EdgePricingPinned, ExactQueryKeepsItsFrontierEffortAndPricingCount) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid12, EdgePricingPinned,
-    ::testing::Values(PinnedQuery{true, 0xdddba24c63d35b4cull, 35, 2539, 6323,
-                                  2539, 3966},
-                      PinnedQuery{false, 0xdddba24c63d35b4cull, 35, 2637,
-                                  6731, 2637, 4094}),
-    [](const ::testing::TestParamInfo<PinnedQuery>& param) {
-      return param.param.prune ? "Pruned" : "Unpruned";
+    ::testing::Values(
+        PinnedQuery{0xdddba24c63d35b4cull, 35, 2539, 6323, 2539, 3966}),
+    [](const ::testing::TestParamInfo<PinnedQuery>&) {
+      return std::string("Pruned");
     });
 
 TEST(EdgePricingCounter, ColumnFillCountsOneEvaluationPerEdge) {

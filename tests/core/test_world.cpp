@@ -161,7 +161,7 @@ TEST(World, SlotCacheColumnsFillOnceAcrossPlannerBatchAndExplainer) {
   const RouteExplainer explainer(world);
   const RouteLedger ledger =
       explainer.explain(plan.candidates.front().route, dep,
-                        /*time_dependent=*/true, PricingMode::SlotQuantized);
+                        PricingMode::SlotQuantized);
   EXPECT_FALSE(ledger.steps.empty());
 
   EXPECT_EQ(cache.filled_slots(), columns_after_batch);

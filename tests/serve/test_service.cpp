@@ -117,7 +117,7 @@ TEST_F(ServeServiceTest, PlanReturnsCandidatesAndRecordsLedgerEntry) {
 TEST_F(ServeServiceTest, PlanHonorsPerRequestOverrides) {
   const std::string body =
       "{\"origin\":0,\"destination\":55,\"departure\":\"09:00\","
-      "\"pricing\":\"exact\",\"vehicle\":1,\"time_dependent\":false}";
+      "\"pricing\":\"exact\",\"vehicle\":1}";
   const JsonValue response = call(make_request("POST", "/plan", body), 200);
   EXPECT_EQ(response.string_or("pricing", ""), "exact");
 }
@@ -143,6 +143,32 @@ TEST_F(ServeServiceTest, PlanRejectsMalformedBodies) {
         service_.handle(make_request("POST", "/plan", body));
     EXPECT_EQ(response.status, status) << body;
     EXPECT_NE(JsonValue::parse(response.body).find("error"), nullptr) << body;
+  }
+  // Integral fields are range-checked on the parsed double, before any
+  // cast: static_cast<std::size_t> of 1e300 or 1e999 (+inf) is
+  // undefined. Each answers 400 with an error naming the field.
+  const std::pair<const char*, const char*> bad_integers[] = {
+      {"\"origin\":0,\"destination\":3,\"vehicle\":1e300", "vehicle"},
+      {"\"origin\":0,\"destination\":3,\"vehicle\":1e999", "vehicle"},
+      {"\"origin\":0,\"destination\":3,\"vehicle\":-1", "vehicle"},
+      {"\"origin\":0,\"destination\":3,\"vehicle\":2.5", "vehicle"},
+      {"\"origin\":0,\"destination\":3,\"vehicle\":\"1\"", "vehicle"},
+      {"\"origin\":1e999,\"destination\":3", "origin"},
+      {"\"origin\":0,\"destination\":4294967295", "destination"},
+      {"\"origin\":0,\"destination\":-1e999", "destination"},
+  };
+  for (const auto& [fields, field] : bad_integers) {
+    const std::string body =
+        std::string("{") + fields + ",\"departure\":\"08:00\"}";
+    const HttpResponse response =
+        service_.handle(make_request("POST", "/plan", body));
+    EXPECT_EQ(response.status, 400) << body;
+    const JsonValue parsed = JsonValue::parse(response.body);
+    const JsonValue* error = parsed.find("error");
+    ASSERT_NE(error, nullptr) << body;
+    EXPECT_NE(error->as_string().find(std::string("\"") + field + '"'),
+              std::string::npos)
+        << body << ": " << error->as_string();
   }
 }
 
@@ -179,15 +205,35 @@ TEST_F(ServeServiceTest, PlanRejectsNonFiniteAndFractionalTimeBudgets) {
 }
 
 TEST_F(ServeServiceTest, PlanAcceptsPruningOverride) {
-  const std::string body =
-      "{\"origin\":0,\"destination\":87,\"departure\":\"08:30\","
-      "\"time_budget\":1.5,\"prune_with_lower_bounds\":false}";
-  const JsonValue response = call(make_request("POST", "/plan", body), 200);
-  const JsonValue* stats = response.find("stats");
+  // The retired search keys are accepted and ignored like any unknown
+  // key: the search always prices at the entry clock and always prunes
+  // a budgeted query against lower bounds.
+  const auto plan = [&](const std::string& extra) {
+    const HttpResponse response = service_.handle(make_request(
+        "POST", "/plan",
+        "{\"origin\":0,\"destination\":87,\"departure\":\"08:30\","
+        "\"time_budget\":1.5" +
+            extra + "}"));
+    EXPECT_EQ(response.status, 200) << response.body;
+    return response.body;
+  };
+  // The candidates array, verbatim from a response body.
+  const auto candidates = [](const std::string& body) {
+    const std::size_t from = body.find("\"candidates\":");
+    return body.substr(from, body.find(",\"stats\":", from) - from);
+  };
+  const std::string bare = plan("");
+  const std::string overridden =
+      plan(",\"time_dependent\":false,\"prune_with_lower_bounds\":false");
+  ASSERT_NE(bare.find("\"candidates\":[{"), std::string::npos) << bare;
+  EXPECT_EQ(candidates(overridden), candidates(bare));
+  const JsonValue bare_json = JsonValue::parse(bare);
+  const JsonValue overridden_json = JsonValue::parse(overridden);
+  const JsonValue* stats = overridden_json.find("stats");
   ASSERT_NE(stats, nullptr);
-  // Pruning off: no lower-bound build.
-  EXPECT_DOUBLE_EQ(stats->number_or("lower_bound_seconds", -1.0), 0.0);
-  EXPECT_GE(stats->number_or("labels_pruned_bound", -1.0), 0.0);
+  EXPECT_GT(stats->number_or("lower_bound_seconds", -1.0), 0.0);
+  EXPECT_DOUBLE_EQ(stats->number_or("labels_created", -1.0),
+                   bare_json.find("stats")->number_or("labels_created", -2.0));
 }
 
 TEST_F(ServeServiceTest, UnplannableQueryIs422NotA400) {
@@ -333,6 +379,47 @@ TEST_F(ServeServiceTest, PublishRejectsMalformedObservations) {
                 .status,
             400);
   EXPECT_EQ(store_.current()->version(), 1u);
+}
+
+TEST_F(ServeServiceTest, PublishRejectsOutOfRangeIntegerFields) {
+  // edge, slot, vehicle_id and min_observations are range-checked on the
+  // parsed double before any cast, for which -1, 1e300 and 1e999 (+inf)
+  // are undefined. Each answers 400 naming its field, and nothing is
+  // published.
+  const auto body = [](const std::string& observation,
+                       const std::string& extra = "") {
+    return "{" + extra + "\"observations\":[{" + observation + "}]}";
+  };
+  const std::string valid = "\"edge\":0,\"slot\":40,\"shaded_fraction\":0.5";
+  const std::pair<std::string, const char*> cases[] = {
+      {body("\"edge\":-1,\"slot\":40,\"shaded_fraction\":0.5"), "edge"},
+      {body("\"edge\":1e999,\"slot\":40,\"shaded_fraction\":0.5"), "edge"},
+      {body("\"edge\":0.5,\"slot\":40,\"shaded_fraction\":0.5"), "edge"},
+      {body("\"edge\":0,\"slot\":1e300,\"shaded_fraction\":0.5"), "slot"},
+      {body("\"edge\":0,\"slot\":-1e999,\"shaded_fraction\":0.5"), "slot"},
+      {body(valid + ",\"vehicle_id\":-1"), "vehicle_id"},
+      {body(valid + ",\"vehicle_id\":1e999"), "vehicle_id"},
+      {body(valid, "\"min_observations\":1e999,"), "min_observations"},
+      {body(valid, "\"min_observations\":0,"), "min_observations"},
+  };
+  for (const auto& [request_body, field] : cases) {
+    const HttpResponse response =
+        service_.handle(make_request("POST", "/world/publish", request_body));
+    EXPECT_EQ(response.status, 400) << request_body;
+    const JsonValue parsed = JsonValue::parse(response.body);
+    const JsonValue* error = parsed.find("error");
+    ASSERT_NE(error, nullptr) << request_body;
+    EXPECT_NE(error->as_string().find(std::string("\"") + field + '"'),
+              std::string::npos)
+        << request_body << ": " << error->as_string();
+  }
+  EXPECT_EQ(store_.current()->version(), 1u);
+  // The same observation with in-range fields publishes.
+  call(make_request(
+           "POST", "/world/publish",
+           body(valid + ",\"vehicle_id\":7", "\"min_observations\":2,")),
+       200);
+  EXPECT_EQ(store_.current()->version(), 2u);
 }
 
 TEST_F(ServeServiceTest, MetricsEndpointEmitsPrometheusText) {
